@@ -9,7 +9,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -19,6 +18,7 @@
 #include "nn/layers.h"
 #include "obs/obs.h"
 #include "util/atomic_file.h"
+#include "util/json.h"
 #include "runtime/thread_pool.h"
 #include "tensor/conv.h"
 #include "tensor/ops.h"
@@ -51,8 +51,8 @@ BENCHMARK(BM_Matmul)->Arg(32)->Arg(64)->Arg(128);
 // multi-worker kernels; the determinism contract means the outputs are
 // bitwise identical across all three settings.
 void BM_MatmulParallel(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  bd::runtime::set_thread_count(threads);
+  bd::runtime::set_thread_count(static_cast<int>(state.range(0)));
+  state.counters["threads"] = bd::runtime::thread_count();
   bd::Rng rng(7);
   const bd::Tensor a = random_tensor({128, 128}, rng);
   const bd::Tensor b = random_tensor({128, 128}, rng);
@@ -65,8 +65,8 @@ void BM_MatmulParallel(benchmark::State& state) {
 BENCHMARK(BM_MatmulParallel)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 void BM_Conv2dForwardParallel(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  bd::runtime::set_thread_count(threads);
+  bd::runtime::set_thread_count(static_cast<int>(state.range(0)));
+  state.counters["threads"] = bd::runtime::thread_count();
   bd::Rng rng(8);
   const bd::Tensor x = random_tensor({8, 16, 16, 16}, rng);
   const bd::Tensor w = random_tensor({16, 16, 3, 3}, rng);
@@ -216,13 +216,16 @@ BENCHMARK(BM_KernelProbeOverhead);
 
 /// Collects per-benchmark results for the JSON export. `op` is the function
 /// name, `shape` the slash-separated argument suffix (the pool size for the
-/// */Parallel variants), `threads` the runtime pool width in effect.
+/// */Parallel variants), `threads` the runtime pool width in effect: the
+/// "threads" counter a benchmark that sets its own pool size reports, else
+/// the ambient pool width.
 class JsonCollector : public benchmark::BenchmarkReporter {
  public:
   struct Row {
     std::string name;
     double ns_per_op;
     std::int64_t iterations;
+    std::int64_t threads;
     std::vector<std::pair<std::string, double>> counters;
   };
 
@@ -242,38 +245,40 @@ class JsonCollector : public benchmark::BenchmarkReporter {
                     static_cast<double>(run.iterations)
               : 0.0;
       // run.counters is a std::map, so this ordering is deterministic.
+      std::int64_t threads = bd::runtime::thread_count();
       std::vector<std::pair<std::string, double>> counters;
       for (const auto& [cname, counter] : run.counters) {
-        counters.emplace_back(cname, static_cast<double>(counter.value));
+        if (cname == "threads") {
+          threads = static_cast<std::int64_t>(counter.value);
+        } else {
+          counters.emplace_back(cname, static_cast<double>(counter.value));
+        }
       }
-      rows_.push_back({run.benchmark_name(), ns, run.iterations,
+      rows_.push_back({run.benchmark_name(), ns, run.iterations, threads,
                        std::move(counters)});
     }
   }
 
   bool write_json(const std::string& path) const {
-    std::ostringstream os;
-    os << "{\"benchmarks\":[";
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-      const Row& r = rows_[i];
+    bd::JsonArray benchmarks;
+    for (const Row& r : rows_) {
       const std::size_t slash = r.name.find('/');
-      const std::string op = r.name.substr(0, slash);
-      const std::string shape =
-          slash == std::string::npos ? "" : r.name.substr(slash + 1);
-      char num[64];
-      std::snprintf(num, sizeof(num), "%.3f", r.ns_per_op);
-      os << (i ? ",\n" : "\n") << "{\"name\":\"" << r.name << "\",\"op\":\""
-         << op << "\",\"shape\":\"" << shape
-         << "\",\"threads\":" << bd::runtime::thread_count()
-         << ",\"iterations\":" << r.iterations << ",\"ns_per_op\":" << num;
+      bd::JsonObject row;
+      row.set("name", r.name)
+          .set("op", r.name.substr(0, slash))
+          .set("shape",
+               slash == std::string::npos ? "" : r.name.substr(slash + 1))
+          .set_int("threads", r.threads)
+          .set_int("iterations", r.iterations)
+          .set_fixed("ns_per_op", r.ns_per_op, 3);
       for (const auto& [cname, value] : r.counters) {
-        std::snprintf(num, sizeof(num), "%.3f", value);
-        os << ",\"" << cname << "\":" << num;
+        row.set_fixed(cname, value, 3);
       }
-      os << '}';
+      benchmarks.push_raw(row.str());
     }
-    os << "\n]}\n";
-    return bd::write_file_atomic(path, os.str());
+    return bd::write_file_atomic(
+        path,
+        bd::JsonObject().set_raw("benchmarks", benchmarks.str()).str() + '\n');
   }
 
   bool empty() const { return rows_.empty(); }

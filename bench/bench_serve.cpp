@@ -23,7 +23,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,6 +33,7 @@
 #include "serve/client.h"
 #include "serve/server.h"
 #include "serve/service.h"
+#include "util/json.h"
 
 namespace {
 
@@ -115,7 +115,7 @@ struct TransportResult {
 };
 
 std::string tiny_job_json(std::int64_t index) {
-  bd::serve::JsonObject job;
+  bd::JsonObject job;
   job.set_int("spc", 2)
       .set_int("seed", 1234 + index)
       .set_int("width", 4)
@@ -164,11 +164,11 @@ TransportResult run_transport(bool tcp) {
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<std::string> ids;
   for (std::int64_t i = 0; i < kJobs; ++i) {
-    bd::serve::JsonObject request;
+    bd::JsonObject request;
     request.set("op", "submit")
         .set("tenant", "tenant" + std::to_string(i % kTenants))
         .set_raw("job", tiny_job_json(i));
-    const bd::serve::Json response =
+    const bd::Json response =
         client.request_json_retry(request.str());
     if (!response.get_bool("ok", false)) {
       std::fprintf(stderr, "bench_serve: submit failed: %s\n",
@@ -180,10 +180,10 @@ TransportResult run_transport(bool tcp) {
   std::int64_t done = 0;
   for (const std::string& id : ids) {
     for (;;) {
-      const bd::serve::Json response = client.request_json_retry(
-          bd::serve::JsonObject().set("op", "wait").set("id", id).str());
+      const bd::Json response = client.request_json_retry(
+          bd::JsonObject().set("op", "wait").set("id", id).str());
       if (response.get_bool("ok", false)) {
-        const bd::serve::Json* job = response.find("job");
+        const bd::Json* job = response.find("job");
         if (job != nullptr && job->get_string("state") == "done") ++done;
         break;
       }
@@ -193,7 +193,7 @@ TransportResult run_transport(bool tcp) {
   const std::chrono::duration<double> elapsed =
       std::chrono::steady_clock::now() - t0;
 
-  client.request_json_retry("{\"op\":\"shutdown\"}");
+  client.request_json_retry(bd::JsonObject().set("op", "shutdown").str());
   daemon.join();
 
   TransportResult result;
@@ -209,33 +209,34 @@ TransportResult run_transport(bool tcp) {
 
 bool write_json(const std::string& path, const std::vector<RunResult>& results,
                 const std::vector<TransportResult>& transports) {
-  std::ostringstream os;
-  os << "{\"bench\":\"serve\",\"jobs\":" << kJobs
-     << ",\"tenants\":" << kTenants << ",\"results\":[";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const RunResult& r = results[i];
-    char line[256];
-    std::snprintf(line, sizeof(line),
-                  "%s\n{\"workers\":%zu,\"seconds\":%.3f,"
-                  "\"jobs_per_min\":%.2f,\"done\":%lld,\"failed\":%lld}",
-                  i ? "," : "", r.workers, r.seconds, r.jobs_per_min,
-                  static_cast<long long>(r.done),
-                  static_cast<long long>(r.failed));
-    os << line;
+  bd::JsonArray result_rows;
+  for (const RunResult& r : results) {
+    result_rows.push_raw(
+        bd::JsonObject()
+            .set_int("workers", static_cast<std::int64_t>(r.workers))
+            .set_fixed("seconds", r.seconds, 3)
+            .set_fixed("jobs_per_min", r.jobs_per_min, 2)
+            .set_int("done", r.done)
+            .set_int("failed", r.failed)
+            .str());
   }
-  os << "\n],\"transports\":[";
-  for (std::size_t i = 0; i < transports.size(); ++i) {
-    const TransportResult& t = transports[i];
-    char line[256];
-    std::snprintf(line, sizeof(line),
-                  "%s\n{\"transport\":\"%s\",\"seconds\":%.3f,"
-                  "\"jobs_per_min\":%.2f,\"done\":%lld}",
-                  i ? "," : "", t.transport.c_str(), t.seconds,
-                  t.jobs_per_min, static_cast<long long>(t.done));
-    os << line;
+  bd::JsonArray transport_rows;
+  for (const TransportResult& t : transports) {
+    transport_rows.push_raw(bd::JsonObject()
+                                .set("transport", t.transport)
+                                .set_fixed("seconds", t.seconds, 3)
+                                .set_fixed("jobs_per_min", t.jobs_per_min, 2)
+                                .set_int("done", t.done)
+                                .str());
   }
-  os << "\n]}\n";
-  return bd::write_file_atomic(path, os.str());
+  const std::string json = bd::JsonObject()
+                               .set("bench", "serve")
+                               .set_int("jobs", kJobs)
+                               .set_int("tenants", kTenants)
+                               .set_raw("results", result_rows.str())
+                               .set_raw("transports", transport_rows.str())
+                               .str();
+  return bd::write_file_atomic(path, json + '\n');
 }
 
 }  // namespace

@@ -38,6 +38,7 @@
 #include "shard/coordinator.h"
 #include "shard/ledger.h"
 #include "util/env.h"
+#include "util/json.h"
 #include "util/logging.h"
 
 namespace {
@@ -461,7 +462,7 @@ serve::Client make_client(const Args& args, std::uint64_t jitter_salt = 0) {
 std::string job_object_from_flags(const Args& args,
                                   std::int64_t seed_override = -1,
                                   const std::string& client_id_override = "") {
-  serve::JsonObject job;
+  JsonObject job;
   const auto set_str = [&args, &job](const char* flag, const char* member) {
     if (args.flags.count(flag)) job.set(member, args.get(flag, ""));
   };
@@ -494,7 +495,7 @@ std::string job_object_from_flags(const Args& args,
   return job.str();
 }
 
-void print_job(const serve::Json& job) {
+void print_job(const Json& job) {
   std::printf("%-8s %-11s %-10s %s/%s/%s %s spc=%lld attempts=%lld%s",
               job.get_string("id").c_str(), job.get_string("state").c_str(),
               job.get_string("tenant").c_str(),
@@ -538,14 +539,14 @@ int wait_for_job(const serve::Client& client, const std::string& id,
       }
       slice = remaining < slice ? remaining : slice;
     }
-    const serve::Json response = client.request_json_retry(
-        serve::JsonObject()
+    const Json response = client.request_json_retry(
+        JsonObject()
             .set("op", "wait")
             .set("id", id)
             .set_double("timeout", slice)
             .str());
     if (response.get_bool("ok", false)) {
-      const serve::Json* job = response.find("job");
+      const Json* job = response.find("job");
       if (job == nullptr) return 1;
       print_job(*job);
       return job->get_string("state") == "done" ? 0 : 1;
@@ -566,16 +567,11 @@ int wait_for_job(const serve::Client& client, const std::string& id,
 int cmd_serve(const Args& args) {
   serve::ServerConfig config;
   config.socket_path = serve_socket(args);
-  config.listen_address =
-      args.get("listen", env_string("BDPROTO_LISTEN").value_or(""));
-  config.max_connections = static_cast<std::size_t>(args.get_int(
-      "conn-cap", env_int("BDPROTO_CONN_CAP").value_or(64)));
-  config.read_deadline_seconds = std::stod(args.get(
-      "read-deadline",
-      std::to_string(env_double("BDPROTO_READ_DEADLINE").value_or(30.0))));
-  config.write_deadline_seconds = std::stod(args.get(
-      "write-deadline",
-      std::to_string(env_double("BDPROTO_WRITE_DEADLINE").value_or(30.0))));
+  config.listen_address = args.get("listen", "");
+  config.max_connections =
+      static_cast<std::size_t>(args.get_int("conn-cap", 64));
+  config.read_deadline_seconds = std::stod(args.get("read-deadline", "30"));
+  config.write_deadline_seconds = std::stod(args.get("write-deadline", "30"));
   config.install_signal_handlers = true;  // SIGTERM/SIGINT = graceful drain
   config.service.workers =
       static_cast<std::size_t>(args.get_int("workers", 2));
@@ -615,13 +611,13 @@ int cmd_serve(const Args& args) {
 int cmd_submit(const Args& args) {
   const serve::Client client = make_client(args);
   const std::string tenant = args.get("tenant", "default");
-  serve::JsonObject request;
+  JsonObject request;
   request.set("op", "submit")
       .set("tenant", tenant)
       .set_raw("job", job_object_from_flags(args));
   // Retried submits are only duplicate-safe with --client-id; without one
   // a transport failure after the daemon enqueued would re-enqueue.
-  const serve::Json response =
+  const Json response =
       args.flags.count("client-id") != 0
           ? client.request_json_retry(request.str())
           : client.request_json(request.str());
@@ -645,18 +641,18 @@ int cmd_submit(const Args& args) {
 
 int cmd_jobs(const Args& args) {
   const serve::Client client = make_client(args);
-  serve::JsonObject request;
+  JsonObject request;
   request.set("op", "jobs");
   if (args.flags.count("tenant")) request.set("tenant", args.get("tenant", ""));
-  const serve::Json response = client.request_json(request.str());
+  const Json response = client.request_json(request.str());
   if (!response.get_bool("ok", false)) {
     std::fprintf(stderr, "bdctl jobs: %s\n",
                  response.get_string("message").c_str());
     return 1;
   }
-  const serve::Json* jobs = response.find("jobs");
+  const Json* jobs = response.find("jobs");
   if (jobs == nullptr || !jobs->is_array()) return 1;
-  for (const serve::Json& job : jobs->items()) print_job(job);
+  for (const Json& job : jobs->items()) print_job(job);
   std::printf("%zu job(s)\n", jobs->items().size());
   return 0;
 }
@@ -664,8 +660,8 @@ int cmd_jobs(const Args& args) {
 int cmd_cancel(const Args& args) {
   const serve::Client client = make_client(args);
   const std::string id = args.get("id", "");
-  const serve::Json response = client.request_json(
-      serve::JsonObject().set("op", "cancel").set("id", id).str());
+  const Json response = client.request_json(
+      JsonObject().set("op", "cancel").set("id", id).str());
   if (!response.get_bool("ok", false)) {
     std::fprintf(stderr, "bdctl cancel: %s: %s\n",
                  response.get_string("error", "error").c_str(),
@@ -679,10 +675,10 @@ int cmd_cancel(const Args& args) {
 int cmd_shutdown(const Args& args) {
   const serve::Client client = make_client(args);
   const bool drain = args.get_int("drain", 1) != 0;
-  serve::JsonObject request;
+  JsonObject request;
   request.set("op", "shutdown");
   request.set_bool("drain", drain);
-  const serve::Json response = client.request_json(request.str());
+  const Json response = client.request_json(request.str());
   if (!response.get_bool("ok", false)) {
     std::fprintf(stderr, "bdctl shutdown: %s\n",
                  response.get_string("message").c_str());
@@ -734,13 +730,13 @@ int cmd_loadgen(const Args& args) {
                      : "";
       const std::string raw =
           job_object_from_flags(args, base_seed + i % distinct, client_id);
-      serve::JsonObject request;
+      JsonObject request;
       request.set("op", "submit")
           .set("tenant", "tenant" + std::to_string(i % tenants))
           .set_raw("job", raw);
       for (;;) {
         int retries = 0;
-        serve::Json response;
+        Json response;
         try {
           response = client.request_json_retry(request.str(), &retries);
         } catch (const std::exception& e) {
@@ -780,9 +776,9 @@ int cmd_loadgen(const Args& args) {
   std::map<std::string, std::int64_t> states;
   for (const std::string& id : ids) {
     for (;;) {
-      const serve::Json response = client.request_json_retry(
-          serve::JsonObject().set("op", "status").set("id", id).str());
-      const serve::Json* job = response.find("job");
+      const Json response = client.request_json_retry(
+          JsonObject().set("op", "status").set("id", id).str());
+      const Json* job = response.find("job");
       if (job == nullptr) return 1;
       const std::string state = job->get_string("state");
       if (state != "queued" && state != "running") {
@@ -811,9 +807,9 @@ int cmd_loadgen(const Args& args) {
               static_cast<long long>(dedups.load()),
               static_cast<long long>(concurrency));
 
-  const serve::Json stats =
-      client.request_json_retry(serve::JsonObject().set("op", "stats").str());
-  const serve::Json* cache = stats.find("cache");
+  const Json stats =
+      client.request_json_retry(JsonObject().set("op", "stats").str());
+  const Json* cache = stats.find("cache");
   if (cache != nullptr) {
     std::printf("cache: hits=%lld misses=%lld evictions=%lld size=%lld\n",
                 static_cast<long long>(cache->get_int("hits", 0)),

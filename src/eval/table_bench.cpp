@@ -10,6 +10,7 @@
 #include "robust/journal.h"
 #include "robust/supervisor.h"
 #include "util/env.h"
+#include "util/json.h"
 #include "util/logging.h"
 #include "util/stats.h"
 #include "util/stopwatch.h"
@@ -23,7 +24,7 @@ std::string join_doubles(const std::vector<double>& v) {
   std::string out;
   for (std::size_t i = 0; i < v.size(); ++i) {
     if (i) out += ',';
-    out += robust::exact_double(v[i]);
+    out += exact_double(v[i]);
   }
   return out;
 }
@@ -81,7 +82,7 @@ std::string scale_signature(const TableSpec& spec,
   };
   const auto add_d = [&sig](double v) {
     sig += '|';
-    sig += robust::exact_double(v);
+    sig += exact_double(v);
   };
   add_i(s.data.height);
   add_i(s.data.width);
@@ -117,9 +118,9 @@ robust::JournalFields encode_baseline(const std::string& attack,
                                       const BaselineRecord& r) {
   robust::JournalFields f{{"cell", "baseline"},
                           {"attack", attack},
-                          {"acc", robust::exact_double(r.metrics.acc)},
-                          {"asr", robust::exact_double(r.metrics.asr)},
-                          {"ra", robust::exact_double(r.metrics.ra)},
+                          {"acc", exact_double(r.metrics.acc)},
+                          {"asr", exact_double(r.metrics.asr)},
+                          {"ra", exact_double(r.metrics.ra)},
                           {"attempts", std::to_string(r.attempts)}};
   if (r.degraded) {
     f["degraded"] = "1";

@@ -1,9 +1,9 @@
 #include "obs/metrics.h"
 
 #include "util/atomic_file.h"
+#include "util/json.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <ostream>
 #include <sstream>
@@ -12,35 +12,6 @@
 namespace bd::obs {
 
 namespace {
-
-/// Round-trippable JSON number, or null for non-finite values (JSON has no
-/// NaN/Inf literals; a diverged loss gauge must not corrupt the export).
-std::string json_double(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-/// Span names and metric names are code-controlled identifiers, but escape
-/// defensively so the export is valid JSON no matter what.
-std::string json_string(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  out += '"';
-  return out;
-}
 
 void atomic_add_double(std::atomic<double>& a, double v) {
   double cur = a.load(std::memory_order_relaxed);
@@ -130,29 +101,42 @@ Histogram& Registry::histogram(const std::string& name,
 void Registry::write_jsonl(std::ostream& os) const {
   std::lock_guard lk(mutex_);
   for (const auto& [name, c] : counters_) {
-    os << "{\"type\":\"counter\",\"name\":" << json_string(name)
-       << ",\"value\":" << c->value() << "}\n";
+    os << JsonObject()
+              .set("type", "counter")
+              .set("name", name)
+              .set_int("value", static_cast<std::int64_t>(c->value()))
+              .str()
+       << '\n';
   }
   for (const auto& [name, g] : gauges_) {
-    os << "{\"type\":\"gauge\",\"name\":" << json_string(name)
-       << ",\"value\":" << json_double(g->value()) << "}\n";
+    os << JsonObject()
+              .set("type", "gauge")
+              .set("name", name)
+              .set_double("value", g->value())
+              .str()
+       << '\n';
   }
   for (const auto& [name, h] : histograms_) {
-    os << "{\"type\":\"histogram\",\"name\":" << json_string(name)
-       << ",\"count\":" << h->count()
-       << ",\"sum\":" << json_double(h->sum()) << ",\"buckets\":[";
     const auto& bounds = h->bounds();
+    JsonArray buckets;
     for (std::size_t i = 0; i <= bounds.size(); ++i) {
-      if (i) os << ',';
-      os << "{\"le\":";
+      JsonObject bucket;
       if (i < bounds.size()) {
-        os << json_double(bounds[i]);
+        bucket.set_double("le", bounds[i]);
       } else {
-        os << "\"+Inf\"";
+        bucket.set("le", "+Inf");
       }
-      os << ",\"count\":" << h->bucket_count(i) << '}';
+      bucket.set_int("count", static_cast<std::int64_t>(h->bucket_count(i)));
+      buckets.push_raw(bucket.str());
     }
-    os << "]}\n";
+    os << JsonObject()
+              .set("type", "histogram")
+              .set("name", name)
+              .set_int("count", static_cast<std::int64_t>(h->count()))
+              .set_double("sum", h->sum())
+              .set_raw("buckets", buckets.str())
+              .str()
+       << '\n';
   }
 }
 

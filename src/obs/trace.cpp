@@ -1,6 +1,7 @@
 #include "obs/trace.h"
 
 #include "util/atomic_file.h"
+#include "util/json.h"
 
 #include <algorithm>
 #include <atomic>
@@ -12,6 +13,7 @@
 #include <ostream>
 #include <sstream>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace bd::obs {
@@ -62,15 +64,6 @@ ThreadBuffer& buffer_for_this_thread() {
     t_buffer = std::move(buf);
   }
   return *t_buffer;
-}
-
-std::string escape_name(const char* name) {
-  std::string out;
-  for (const char* p = name; *p != '\0'; ++p) {
-    if (*p == '"' || *p == '\\') out += '\\';
-    out += *p;
-  }
-  return out;
 }
 
 }  // namespace
@@ -153,31 +146,40 @@ void set_trace_capacity_for_test(std::size_t per_thread) {
                          std::memory_order_relaxed);
 }
 
-void write_chrome_trace(std::ostream& os) {
-  const std::vector<TraceEvent> events = snapshot_trace();
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  char buf[64];
-  for (const auto& e : events) {
-    if (!first) os << ',';
-    first = false;
-    os << "\n{\"name\":\"" << escape_name(e.name)
-       << "\",\"cat\":\"bd\",\"ph\":\"" << e.phase << "\",\"ts\":";
-    std::snprintf(buf, sizeof(buf), "%.3f",
-                  static_cast<double>(e.ts_ns) / 1e3);
-    os << buf << ",\"pid\":1,\"tid\":" << e.tid;
-    if (e.arg != kNoArg) {
-      os << ",\"args\":{\"v\":" << e.arg << '}';
+namespace {
+
+/// The whole export as one string, written straight to its destination:
+/// traces run to tens of MB, so the event array moves into the document
+/// and no stream buffer holds a further copy.
+std::string chrome_trace_json() {
+  JsonObject trace;
+  trace.set("displayTimeUnit", "ms");
+  {
+    JsonArray events;
+    for (const auto& e : snapshot_trace()) {
+      JsonObject event;
+      event.set("name", e.name)
+          .set("cat", "bd")
+          .set("ph", std::string(1, e.phase))
+          .set_fixed("ts", static_cast<double>(e.ts_ns) / 1e3, 3)
+          .set_int("pid", 1)
+          .set_int("tid", e.tid);
+      if (e.arg != kNoArg) {
+        event.set_raw("args", JsonObject().set_int("v", e.arg).str());
+      }
+      events.push_raw(event.str());
     }
-    os << '}';
+    trace.set_raw("traceEvents", std::move(events).str());
   }
-  os << "\n]}\n";
+  return std::move(trace).str() + '\n';
 }
 
+}  // namespace
+
+void write_chrome_trace(std::ostream& os) { os << chrome_trace_json(); }
+
 bool write_chrome_trace_file(const std::string& path) {
-  std::ostringstream os;
-  write_chrome_trace(os);
-  return write_file_atomic(path, os.str());
+  return write_file_atomic(path, chrome_trace_json());
 }
 
 namespace {

@@ -12,119 +12,40 @@
 
 #include "robust/fault_injector.h"
 #include "util/env.h"
+#include "util/json.h"
 #include "util/logging.h"
 
 namespace bd::robust {
 
-namespace {
-
-void append_escaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c; break;
-    }
-  }
-}
-
-/// Minimal parser for the journal's own subset of JSON. Returns false on
-/// any deviation (including a torn line) instead of throwing, so the
-/// caller decides whether the damage is tolerable.
-class LineParser {
- public:
-  explicit LineParser(const std::string& line) : s_(line) {}
-
-  bool parse(std::string& key, JournalFields& fields) {
-    return expect('{') && parse_member_name("key") && parse_string(key) &&
-           expect(',') && parse_member_name("fields") && expect('{') &&
-           parse_fields(fields) && expect('}') && expect('}') &&
-           pos_ == s_.size();
-  }
-
- private:
-  bool expect(char c) {
-    if (pos_ >= s_.size() || s_[pos_] != c) return false;
-    ++pos_;
-    return true;
-  }
-
-  bool parse_member_name(const std::string& name) {
-    std::string got;
-    return parse_string(got) && got == name && expect(':');
-  }
-
-  bool parse_string(std::string& out) {
-    out.clear();
-    if (!expect('"')) return false;
-    while (pos_ < s_.size()) {
-      const char c = s_[pos_++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= s_.size()) return false;
-      const char esc = s_[pos_++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        default: return false;
-      }
-    }
-    return false;  // unterminated string (torn line)
-  }
-
-  bool parse_fields(JournalFields& fields) {
-    if (pos_ < s_.size() && s_[pos_] == '}') return true;  // empty object
-    while (true) {
-      std::string name, value;
-      if (!parse_string(name) || !expect(':') || !parse_string(value)) {
-        return false;
-      }
-      fields[name] = value;
-      if (pos_ < s_.size() && s_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      return true;
-    }
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
 std::string encode_journal_line(const std::string& key,
                                 const JournalFields& fields) {
-  std::string line = "{\"key\":\"";
-  append_escaped(line, key);
-  line += "\",\"fields\":{";
-  bool first = true;
-  for (const auto& [name, value] : fields) {
-    if (!first) line += ',';
-    first = false;
-    line += '"';
-    append_escaped(line, name);
-    line += "\":\"";
-    append_escaped(line, value);
-    line += '"';
-  }
-  line += "}}\n";
-  return line;
+  JsonObject body;
+  for (const auto& [name, value] : fields) body.set(name, value);
+  return JsonObject().set("key", key).set_raw("fields", body.str()).str() +
+         '\n';
 }
 
 bool parse_journal_line(const std::string& line, std::string& key,
                         JournalFields& fields) {
-  return LineParser(line).parse(key, fields);
+  Json entry;
+  std::string error;
+  if (!Json::parse(line, entry, error) || !entry.is_object() ||
+      entry.members().size() != 2) {
+    return false;
+  }
+  const Json* k = entry.find("key");
+  const Json* f = entry.find("fields");
+  if (k == nullptr || !k->is_string() || f == nullptr || !f->is_object()) {
+    return false;
+  }
+  JournalFields parsed;
+  for (const auto& [name, value] : f->members()) {
+    if (!value.is_string()) return false;
+    parsed[name] = value.as_string();
+  }
+  key = k->as_string();
+  fields = std::move(parsed);
+  return true;
 }
 
 bool journal_fsync_enabled() {
@@ -224,12 +145,6 @@ std::string stable_hash_hex(const std::string& s) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx",
                 static_cast<unsigned long long>(h));
-  return buf;
-}
-
-std::string exact_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
 }
 

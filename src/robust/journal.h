@@ -7,9 +7,10 @@
 // appended and flushed as soon as the cell finishes, so a kill between
 // cells loses at most the in-flight cell. On reopen the journal tolerates
 // a torn final line (a write interrupted by the kill): the damaged tail is
-// dropped and the next append starts on a fresh line. Field values are
-// opaque strings; callers serialize doubles with "%.17g" so that resumed
-// tables are byte-identical to uninterrupted runs.
+// dropped and the next append starts on a fresh line. Lines are written
+// and parsed by the shared JSON codec (util/json.h). Field values are
+// opaque strings; callers serialize doubles with exact_double() so that
+// resumed tables are byte-identical to uninterrupted runs.
 //
 // Multi-writer safety: every entry is appended with O_APPEND and exactly
 // one write(2) call (append_line_atomic below), so concurrent appender
@@ -65,9 +66,11 @@ class RunJournal {
 std::string encode_journal_line(const std::string& key,
                                 const JournalFields& fields);
 
-/// Parses one line of the canonical grammar into (key, fields). Returns
-/// false on any deviation — including a torn line — instead of throwing,
-/// so the caller decides whether the damage is tolerable.
+/// Parses one line of the canonical grammar into (key, fields): a JSON
+/// object with exactly the members "key" (a string) and "fields" (an
+/// object of strings). Returns false on any deviation — including a torn
+/// line — instead of throwing, so the caller decides whether the damage is
+/// tolerable.
 bool parse_journal_line(const std::string& line, std::string& key,
                         JournalFields& fields);
 
@@ -87,9 +90,5 @@ bool journal_fsync_enabled();
 /// runs and platforms (unlike std::hash), so journal keys written by one
 /// process match the keys computed by the resuming one.
 std::string stable_hash_hex(const std::string& s);
-
-/// Doubles serialized for the journal: shortest form that round-trips
-/// bit-exactly through strtod ("%.17g").
-std::string exact_double(double v);
 
 }  // namespace bd::robust

@@ -212,7 +212,7 @@ Json Client::request_json_retry(const std::string& line,
 
 bool Client::alive() const {
   try {
-    const Json response = request_json("{\"op\":\"ping\"}");
+    const Json response = request_json(JsonObject().set("op", "ping").str());
     return response.get_bool("ok", false);
   } catch (const std::exception&) {
     return false;

@@ -28,7 +28,7 @@
 #include <string>
 
 #include "serve/transport_tcp.h"
-#include "serve/wire.h"
+#include "util/json.h"
 
 namespace bd::serve {
 

@@ -1,6 +1,7 @@
 #include "serve/job.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 
 #include "core/registry.h"
@@ -25,12 +26,15 @@ std::int64_t bounded_int(const Json& job, const char* name,
   if (!v->is_number()) {
     throw BadRequest(std::string("job.") + name + " must be a number");
   }
-  const auto value = static_cast<std::int64_t>(v->as_number());
-  if (value < lo || value > hi) {
+  // Truncate and compare in double before casting: casting an
+  // out-of-range client value such as 1e300 to int64 is undefined
+  // behaviour. Every bound in use is exactly representable as a double.
+  const double value = std::trunc(v->as_number());
+  if (value < static_cast<double>(lo) || value > static_cast<double>(hi)) {
     throw BadRequest(std::string("job.") + name + " must be in [" +
                      std::to_string(lo) + ", " + std::to_string(hi) + "]");
   }
-  return value;
+  return static_cast<std::int64_t>(value);
 }
 
 std::string optional_string(const Json& job, const char* name) {
@@ -144,7 +148,7 @@ std::string backbone_signature(const JobSpec& spec) {
   };
   const auto add_d = [&sig](double v) {
     sig += '|';
-    sig += robust::exact_double(v);
+    sig += exact_double(v);
   };
   add_i(s.data.height);
   add_i(s.data.width);
@@ -250,10 +254,10 @@ robust::JournalFields encode_job(const JobRecord& r) {
   if (r.cache_hit) f["cache"] = "hit";
   if (!r.error.empty()) f["error"] = r.error;
   if (r.have_metrics) {
-    f["acc"] = robust::exact_double(r.metrics.acc);
-    f["asr"] = robust::exact_double(r.metrics.asr);
-    f["ra"] = robust::exact_double(r.metrics.ra);
-    f["seconds"] = robust::exact_double(r.seconds);
+    f["acc"] = exact_double(r.metrics.acc);
+    f["asr"] = exact_double(r.metrics.asr);
+    f["ra"] = exact_double(r.metrics.ra);
+    f["seconds"] = exact_double(r.seconds);
     f["pruned"] = std::to_string(r.pruned_units);
   }
   return f;

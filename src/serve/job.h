@@ -21,7 +21,7 @@
 #include "eval/runner.h"
 #include "nn/checkpoint.h"
 #include "robust/journal.h"
-#include "serve/wire.h"
+#include "util/json.h"
 
 namespace bd::serve {
 

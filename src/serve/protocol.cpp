@@ -127,16 +127,12 @@ ProtocolResult Protocol::handle_line(const std::string& line) {
       }
     } else if (op == "jobs") {
       const std::string tenant = request.get_string("tenant");
-      std::string array = "[";
-      bool first = true;
+      JsonArray jobs;
       for (const JobRecord& record : service_.jobs(tenant)) {
-        if (!first) array += ",";
-        first = false;
-        array += job_json(record);
+        jobs.push_raw(job_json(record));
       }
-      array += "]";
       JsonObject body;
-      body.set_bool("ok", true).set_raw("jobs", array);
+      body.set_bool("ok", true).set_raw("jobs", jobs.str());
       out.response = ok_line(body);
     } else if (op == "cancel") {
       const std::string id = request.get_string("id");

@@ -25,17 +25,9 @@
 //   BDPROTO_JOURNAL_FSYNC=1   - fsync journal/ledger appends (durability
 //                               over throughput; default off)
 //
-// Serve transports (see serve/server.h and serve/client.h; flags on
-// `bdctl serve` / client commands override these):
-//   BDPROTO_LISTEN=<host:port>  - TCP listener next to the Unix socket
-//                                 (unset: Unix only; port 0: ephemeral)
-//   BDPROTO_CONN_CAP=<n>        - max concurrent connections before new
-//                                 clients are shed with `overloaded`
-//                                 (default 64)
-//   BDPROTO_READ_DEADLINE=<secs>  - per-connection read deadline / idle
-//                                 keep-alive limit (default 30)
-//   BDPROTO_WRITE_DEADLINE=<secs> - per-connection write deadline
-//                                 (default 30)
+// Serve clients (see serve/client.h; the daemon side is configured by the
+// `bdctl serve` flags --listen, --conn-cap, --read-deadline and
+// --write-deadline):
 //   BDPROTO_CONNECT_TIMEOUT=<secs> - client connect budget (default 5)
 //   BDPROTO_IO_TIMEOUT=<secs>   - client per-send/recv budget (default 30)
 //   BDPROTO_CLIENT_DEADLINE=<secs> - client overall budget for one

@@ -1,10 +1,10 @@
-#include "serve/wire.h"
+#include "util/json.h"
 
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
-namespace bd::serve {
+namespace bd {
 
 namespace {
 
@@ -28,7 +28,11 @@ std::int64_t Json::get_int(const std::string& name,
                            std::int64_t fallback) const {
   const Json* v = find(name);
   if (v == nullptr || !v->is_number()) return fallback;
-  return static_cast<std::int64_t>(v->as_number());
+  // Range-check in double before the cast: casting an out-of-range value
+  // (e.g. 1e19) is undefined behaviour. int64 spans [-2^63, 2^63).
+  const double d = v->as_number();
+  if (!(d >= -0x1p63 && d < 0x1p63)) return fallback;
+  return static_cast<std::int64_t>(d);
 }
 
 double Json::get_double(const std::string& name, double fallback) const {
@@ -320,9 +324,21 @@ JsonObject& JsonObject::set_int(const std::string& key, std::int64_t value) {
   return raw_value(key, std::to_string(value));
 }
 
-JsonObject& JsonObject::set_double(const std::string& key, double value) {
+std::string exact_double(double v) {
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+JsonObject& JsonObject::set_double(const std::string& key, double value) {
+  return raw_value(key, std::isfinite(value) ? exact_double(value) : "null");
+}
+
+JsonObject& JsonObject::set_fixed(const std::string& key, double value,
+                                  int decimals) {
+  if (!std::isfinite(value)) return raw_value(key, "null");
+  char buf[512];  // room for the widest finite double in fixed notation
+  std::snprintf(buf, sizeof(buf), "%.*f", decimals, value);
   return raw_value(key, buf);
 }
 
@@ -335,4 +351,10 @@ JsonObject& JsonObject::set_raw(const std::string& key,
   return raw_value(key, json);
 }
 
-}  // namespace bd::serve
+JsonArray& JsonArray::push_raw(const std::string& json) {
+  if (!body_.empty()) body_ += ',';
+  body_ += json;
+  return *this;
+}
+
+}  // namespace bd

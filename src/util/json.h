@@ -1,21 +1,28 @@
-// Wire format for the serve protocol: a minimal JSON value plus an object
-// writer, sized for newline-delimited request/response lines.
+// The repo's one JSON codec: a strict value parser plus object and array
+// writers. Every JSON surface goes through it — serve requests and
+// replies, run-journal and shard-ledger lines (robust/journal.h), the obs
+// metrics and trace exporters, and the bench emitters.
 //
 // The parser is strict (complete values only, no trailing bytes, bounded
 // nesting depth) and never throws on malformed input — Json::parse()
-// returns false with a byte-offset error message, which the protocol layer
-// turns into a structured `bad_json` response instead of a dead daemon.
-// The run journal keeps its own specialized one-line parser; this one
-// exists for untrusted client input, where arbitrary nesting, numbers and
-// booleans must be rejected gracefully rather than assumed away.
+// returns false with a byte-offset error message, so untrusted client
+// input becomes a structured `bad_json` response and a torn journal line
+// becomes a recoverable parse failure, never a dead process.
+//
+// The writers escape `"`, `\`, \n, \r and \t by name and every other
+// control byte as \u00XX, and write doubles with 17 significant digits
+// ("%.17g", a bit-exact strtod round-trip), or `null` when non-finite:
+// JSON has no NaN/Inf literals, and a diverged metric must not make the
+// line unparseable.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
-namespace bd::serve {
+namespace bd {
 
 class Json {
  public:
@@ -48,6 +55,7 @@ class Json {
   /// Convenience accessors over object members, with fallbacks for absent
   /// members. A present member of the wrong type is NOT silently coerced:
   /// callers that must distinguish use find() and check the type.
+  /// get_int also falls back when the number does not fit in int64.
   std::string get_string(const std::string& name,
                          const std::string& fallback = "") const;
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
@@ -72,22 +80,53 @@ class Json {
 /// `s` escaped for embedding inside a JSON string literal (no quotes).
 std::string json_escape(const std::string& s);
 
+/// `v` with 17 significant digits ("%.17g"), which round-trips bit-exactly
+/// through strtod; non-finite values print as "nan"/"inf". Journal fields
+/// and cache signatures store doubles in this form.
+std::string exact_double(double v);
+
 /// Builds one JSON object string field by field, in insertion order.
 class JsonObject {
  public:
   JsonObject& set(const std::string& key, const std::string& value);
   JsonObject& set(const std::string& key, const char* value);
   JsonObject& set_int(const std::string& key, std::int64_t value);
+  /// exact_double(value), or null when non-finite.
   JsonObject& set_double(const std::string& key, double value);
+  /// `value` with `decimals` fixed decimals, or null when non-finite.
+  JsonObject& set_fixed(const std::string& key, double value, int decimals);
   JsonObject& set_bool(const std::string& key, bool value);
   /// Inserts `json` verbatim (a pre-serialized object/array/value).
   JsonObject& set_raw(const std::string& key, const std::string& json);
 
-  std::string str() const { return "{" + body_ + "}"; }
+  std::string str() const& { return "{" + body_ + "}"; }
+  /// Renders in place without copying the body (for multi-MB documents).
+  std::string str() && {
+    body_.insert(body_.begin(), '{');
+    body_ += '}';
+    return std::move(body_);
+  }
 
  private:
   JsonObject& raw_value(const std::string& key, const std::string& value);
   std::string body_;
 };
 
-}  // namespace bd::serve
+/// Builds one JSON array string from pre-serialized values, in order.
+class JsonArray {
+ public:
+  JsonArray& push_raw(const std::string& json);
+
+  std::string str() const& { return "[" + body_ + "]"; }
+  /// Renders in place without copying the body (for multi-MB documents).
+  std::string str() && {
+    body_.insert(body_.begin(), '[');
+    body_ += ']';
+    return std::move(body_);
+  }
+
+ private:
+  std::string body_;
+};
+
+}  // namespace bd

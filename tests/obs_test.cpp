@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <map>
@@ -19,6 +20,7 @@
 #include "obs/obs.h"
 #include "runtime/thread_pool.h"
 #include "tensor/ops.h"
+#include "util/json.h"
 
 namespace bd::obs {
 namespace {
@@ -258,10 +260,23 @@ TEST_F(ObsTest, ChromeTraceExportParsesBack) {
   {
     Span outer("obs_test.export", 5);
     Span inner("obs_test.export_inner");
+    Span hostile("obs_test.\"quoted\"\x01" "ctl");
   }
   std::ostringstream os;
   write_chrome_trace(os);
   const std::string json = os.str();
+
+  // The whole export is one valid JSON value, hostile span names included.
+  Json trace;
+  std::string error;
+  ASSERT_TRUE(Json::parse(json, trace, error)) << error;
+  const Json* events = trace.find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  ASSERT_EQ(events->items().size(), 6u);
+  EXPECT_EQ(events->items()[2].get_string("name"),
+            "obs_test.\"quoted\"\x01" "ctl");
+  ASSERT_NE(events->items()[0].find("args"), nullptr);
+  EXPECT_EQ(events->items()[0].find("args")->get_int("v", 0), 5);
 
   EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
   EXPECT_NE(json.find("\"displayTimeUnit\":\"ms\""), std::string::npos);
@@ -278,14 +293,15 @@ TEST_F(ObsTest, ChromeTraceExportParsesBack) {
     }
     return n;
   };
-  EXPECT_EQ(count("\"ph\":\"B\""), 2u);
-  EXPECT_EQ(count("\"ph\":\"E\""), 2u);
-  EXPECT_EQ(count("\"cat\":\"bd\""), 4u);
+  EXPECT_EQ(count("\"ph\":\"B\""), 3u);
+  EXPECT_EQ(count("\"ph\":\"E\""), 3u);
+  EXPECT_EQ(count("\"cat\":\"bd\""), 6u);
 }
 
 TEST_F(ObsTest, JsonlExportIsValid) {
   registry().counter("obs_test.export_counter").add(3);
   registry().gauge("obs_test.export_gauge").set(1.5);
+  registry().gauge("obs_test.export_nan").set(std::nan(""));
   registry()
       .histogram("obs_test.export_hist", {10.0, 20.0})
       .observe(15.0);
@@ -302,17 +318,28 @@ TEST_F(ObsTest, JsonlExportIsValid) {
   EXPECT_NE(jsonl.find("\"obs_test.export_hist\""), std::string::npos);
   EXPECT_NE(jsonl.find("{\"le\":\"+Inf\","), std::string::npos);
 
-  // Every line is one object: starts with '{', ends with '}'.
+  // Every line is one object: starts with '{', ends with '}', and parses.
   std::istringstream is(jsonl);
   std::string line;
   std::size_t lines = 0;
+  bool saw_nan_gauge = false;
   while (std::getline(is, line)) {
     ASSERT_FALSE(line.empty());
     EXPECT_EQ(line.front(), '{');
     EXPECT_EQ(line.back(), '}');
+    Json metric;
+    std::string error;
+    ASSERT_TRUE(Json::parse(line, metric, error)) << error << ": " << line;
+    if (metric.get_string("name") == "obs_test.export_nan") {
+      // JSON has no NaN literal: a diverged gauge exports as null.
+      ASSERT_NE(metric.find("value"), nullptr);
+      EXPECT_TRUE(metric.find("value")->is_null());
+      saw_nan_gauge = true;
+    }
     ++lines;
   }
-  EXPECT_GE(lines, 3u);
+  EXPECT_GE(lines, 4u);
+  EXPECT_TRUE(saw_nan_gauge);
 }
 
 TEST_F(ObsTest, CapacityDropKeepsPairsBalanced) {

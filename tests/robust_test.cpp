@@ -29,6 +29,7 @@
 #include "robust/supervisor.h"
 #include "robust/train_guard.h"
 #include "tensor/serialize.h"
+#include "util/json.h"
 
 namespace bd {
 namespace {
@@ -378,6 +379,33 @@ TEST(Journal, RoundTripWithEscaping) {
   EXPECT_EQ(reopened.find("missing"), nullptr);
 }
 
+TEST(Journal, GoldenLineBytes) {
+  // The on-disk grammar is a compatibility contract: journals and ledgers
+  // written by earlier builds must keep loading, so these bytes are fixed.
+  const std::string key = "cell \"a\" \\ \n\r\t é";
+  const robust::JournalFields fields = {{"acc", "97.5"},
+                                        {"note \t", "v\"\\\n\r\t ü"}};
+  const std::string golden =
+      R"({"key":"cell \"a\" \\ \n\r\t é","fields":{"acc":"97.5","note \t":)"
+      R"("v\"\\\n\r\t ü"}})"
+      "\n";
+  EXPECT_EQ(robust::encode_journal_line(key, fields), golden);
+  EXPECT_EQ(robust::encode_journal_line("empty", {}),
+            "{\"key\":\"empty\",\"fields\":{}}\n");
+
+  std::string parsed_key;
+  robust::JournalFields parsed_fields;
+  // Readers hand the parser each line without its terminator.
+  ASSERT_TRUE(robust::parse_journal_line(golden.substr(0, golden.size() - 1),
+                                         parsed_key, parsed_fields));
+  EXPECT_EQ(parsed_key, key);
+  EXPECT_EQ(parsed_fields, fields);
+  ASSERT_TRUE(robust::parse_journal_line(R"({"key":"empty","fields":{}})",
+                                         parsed_key, parsed_fields));
+  EXPECT_EQ(parsed_key, "empty");
+  EXPECT_TRUE(parsed_fields.empty());
+}
+
 TEST(Journal, TornFinalLineIsDroppedAndAppendable) {
   TempFile file("journal_torn");
   {
@@ -421,7 +449,7 @@ TEST(Journal, DisabledJournalIsNoop) {
 
 TEST(Journal, ExactDoubleRoundTripsBitwise) {
   for (const double v : {97.123456789012345, 1.0 / 3.0, 2.5e-17, 0.0}) {
-    const std::string s = robust::exact_double(v);
+    const std::string s = exact_double(v);
     EXPECT_EQ(std::strtod(s.c_str(), nullptr), v) << s;
   }
 }

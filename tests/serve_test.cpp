@@ -1,5 +1,5 @@
-// Tests for the serve subsystem: wire parsing, admission-controlled fair
-// queue, backbone LRU cache, the job schema + journal encoding, protocol
+// Tests for the serve subsystem: admission-controlled fair queue,
+// backbone LRU cache, the job schema + journal encoding, protocol
 // robustness (malformed/oversized/hostile input never crashes the daemon
 // core), service lifecycle (cache hits, failure, cancellation) and
 // journaled restart semantics.
@@ -20,7 +20,7 @@
 #include "serve/protocol.h"
 #include "serve/queue.h"
 #include "serve/service.h"
-#include "serve/wire.h"
+#include "util/json.h"
 
 namespace bd {
 namespace {
@@ -32,70 +32,10 @@ using serve::FairQueue;
 using serve::JobRecord;
 using serve::JobSpec;
 using serve::JobState;
-using serve::Json;
 using serve::Protocol;
 using serve::ProtocolResult;
 using serve::SanitizeService;
 using serve::ServiceConfig;
-
-// ---------------------------------------------------------------------------
-// wire
-// ---------------------------------------------------------------------------
-
-TEST(WireTest, ParsesNestedValues) {
-  Json v;
-  std::string error;
-  ASSERT_TRUE(Json::parse(
-      R"({"op":"submit","n":-1.5e2,"flag":true,"none":null,)"
-      R"("arr":[1,"two",{}],"obj":{"k":"v\n"}})",
-      v, error))
-      << error;
-  EXPECT_TRUE(v.is_object());
-  EXPECT_EQ(v.get_string("op"), "submit");
-  EXPECT_DOUBLE_EQ(v.get_double("n", 0), -150.0);
-  EXPECT_TRUE(v.get_bool("flag", false));
-  ASSERT_NE(v.find("none"), nullptr);
-  EXPECT_TRUE(v.find("none")->is_null());
-  ASSERT_NE(v.find("arr"), nullptr);
-  EXPECT_EQ(v.find("arr")->items().size(), 3u);
-  EXPECT_EQ(v.find("obj")->get_string("k"), "v\n");
-}
-
-TEST(WireTest, RejectsMalformedInputWithOffset) {
-  Json v;
-  std::string error;
-  for (const char* bad :
-       {"", "{", "{\"a\":}", "[1,]", "{\"a\":1}trailing", "\"unterminated",
-        "01", "nul", "{\"a\" 1}", "\"bad\\q\"", "1e999"}) {
-    EXPECT_FALSE(Json::parse(bad, v, error)) << bad;
-    EXPECT_NE(error.find("byte"), std::string::npos) << error;
-  }
-}
-
-TEST(WireTest, RejectsExcessiveNesting) {
-  std::string deep;
-  for (int i = 0; i < 40; ++i) deep += "[";
-  Json v;
-  std::string error;
-  EXPECT_FALSE(Json::parse(deep, v, error));
-}
-
-TEST(WireTest, WrongTypePresentMemberIsNotCoerced) {
-  Json v;
-  std::string error;
-  ASSERT_TRUE(Json::parse(R"({"n":"five","s":7})", v, error));
-  EXPECT_EQ(v.get_int("n", 3), 3);       // string where number expected
-  EXPECT_EQ(v.get_string("s", "x"), "x");  // number where string expected
-}
-
-TEST(WireTest, EscapeRoundTrip) {
-  const std::string hostile = "a\"b\\c\nd\te\x01f";
-  Json v;
-  std::string error;
-  ASSERT_TRUE(Json::parse("\"" + serve::json_escape(hostile) + "\"", v, error))
-      << error;
-  EXPECT_EQ(v.as_string(), hostile);
-}
 
 // ---------------------------------------------------------------------------
 // queue
@@ -442,6 +382,19 @@ TEST_F(ProtocolTest, SubmitValidation) {
   EXPECT_EQ(error_code(
                 R"({"op":"submit","tenant":"t","job":{"dataset":"mnist"}})"),
             "bad_request");
+  // Out-of-int64 numbers are range errors, never an undefined cast.
+  for (const char* field : {"spc", "seed"}) {
+    for (const char* value : {"1e300", "-1e300", "1e19"}) {
+      const Json response =
+          handle(std::string(R"({"op":"submit","tenant":"t","job":{")") +
+                 field + "\":" + value + "}}");
+      EXPECT_EQ(response.get_string("error"), "bad_request")
+          << field << '=' << value;
+      EXPECT_NE(response.get_string("message").find("must be in ["),
+                std::string::npos)
+          << response.get_string("message");
+    }
+  }
 
   const Json ok = handle(R"({"op":"submit","tenant":"t","job":{}})");
   EXPECT_TRUE(ok.get_bool("ok", false));

@@ -26,7 +26,7 @@
 #include "serve/server.h"
 #include "serve/service.h"
 #include "serve/transport_tcp.h"
-#include "serve/wire.h"
+#include "util/json.h"
 
 namespace bd {
 namespace {
@@ -38,7 +38,6 @@ using serve::Endpoint;
 using serve::JobRecord;
 using serve::JobSpec;
 using serve::JobState;
-using serve::Json;
 using serve::SanitizeService;
 using serve::ServerConfig;
 using serve::ServiceConfig;
@@ -300,7 +299,7 @@ TEST_F(TransportTest, TcpEndToEndPingSubmitStatus) {
   ASSERT_TRUE(submit.get_bool("ok", false)) << submit.get_string("message");
   const std::string id = submit.get_string("id");
   const Json status = client.request_json(
-      serve::JsonObject().set("op", "status").set("id", id).str());
+      JsonObject().set("op", "status").set("id", id).str());
   ASSERT_TRUE(status.get_bool("ok", false));
   EXPECT_EQ(status.find("job")->get_string("state"), "queued");
 }
@@ -670,7 +669,7 @@ TEST_F(TransportTest, ProtocolWaitReportsTerminalJob) {
   const serve::SubmitResult submitted = service.submit(micro_spec(6));
   ASSERT_EQ(submitted.admission, Admission::kAdmitted);
   const serve::ProtocolResult result = protocol.handle_line(
-      serve::JsonObject()
+      JsonObject()
           .set("op", "wait")
           .set("id", submitted.id)
           .set_double("timeout", 60.0)

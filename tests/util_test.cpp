@@ -1,11 +1,13 @@
 // Unit tests for util: RNG determinism/statistics, stats accumulators,
-// table formatting, env-based configuration.
+// table formatting, env-based configuration, the JSON codec.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 #include <set>
 
 #include "util/env.h"
+#include "util/json.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -172,6 +174,80 @@ TEST(Logging, LevelRoundTrip) {
 TEST(Env, ScaledPicksByMode) {
   // In the test environment BDPROTO_MODE is unset -> quick.
   EXPECT_EQ(scaled(1, 2), full_mode() ? 2 : 1);
+}
+
+// ---------------------------------------------------------------------------
+// JSON codec (util/json.h)
+// ---------------------------------------------------------------------------
+
+TEST(WireTest, ParsesNestedValues) {
+  Json v;
+  std::string error;
+  ASSERT_TRUE(Json::parse(
+      R"({"op":"submit","n":-1.5e2,"flag":true,"none":null,)"
+      R"("arr":[1,"two",{}],"obj":{"k":"v\n"}})",
+      v, error))
+      << error;
+  EXPECT_TRUE(v.is_object());
+  EXPECT_EQ(v.get_string("op"), "submit");
+  EXPECT_DOUBLE_EQ(v.get_double("n", 0), -150.0);
+  EXPECT_TRUE(v.get_bool("flag", false));
+  ASSERT_NE(v.find("none"), nullptr);
+  EXPECT_TRUE(v.find("none")->is_null());
+  ASSERT_NE(v.find("arr"), nullptr);
+  EXPECT_EQ(v.find("arr")->items().size(), 3u);
+  EXPECT_EQ(v.find("obj")->get_string("k"), "v\n");
+}
+
+TEST(WireTest, RejectsMalformedInputWithOffset) {
+  Json v;
+  std::string error;
+  for (const char* bad :
+       {"", "{", "{\"a\":}", "[1,]", "{\"a\":1}trailing", "\"unterminated",
+        "01", "nul", "{\"a\" 1}", "\"bad\\q\"", "1e999"}) {
+    EXPECT_FALSE(Json::parse(bad, v, error)) << bad;
+    EXPECT_NE(error.find("byte"), std::string::npos) << error;
+  }
+}
+
+TEST(WireTest, RejectsExcessiveNesting) {
+  std::string deep;
+  for (int i = 0; i < 40; ++i) deep += "[";
+  Json v;
+  std::string error;
+  EXPECT_FALSE(Json::parse(deep, v, error));
+}
+
+TEST(WireTest, WrongTypePresentMemberIsNotCoerced) {
+  Json v;
+  std::string error;
+  ASSERT_TRUE(Json::parse(R"({"n":"five","s":7})", v, error));
+  EXPECT_EQ(v.get_int("n", 3), 3);       // string where number expected
+  EXPECT_EQ(v.get_string("s", "x"), "x");  // number where string expected
+}
+
+TEST(WireTest, GetIntFallsBackOutsideInt64) {
+  Json v;
+  std::string error;
+  ASSERT_TRUE(Json::parse(
+      R"({"big":1e19,"huge":1e300,"low":-1e300,"edge":-9223372036854775808,)"
+      R"("ok":-42.9})",
+      v, error))
+      << error;
+  EXPECT_EQ(v.get_int("big", 7), 7);
+  EXPECT_EQ(v.get_int("huge", 7), 7);
+  EXPECT_EQ(v.get_int("low", 7), 7);
+  EXPECT_EQ(v.get_int("edge", 7), std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(v.get_int("ok", 7), -42);
+}
+
+TEST(WireTest, EscapeRoundTrip) {
+  const std::string hostile = "a\"b\\c\nd\te\x01f";
+  Json v;
+  std::string error;
+  ASSERT_TRUE(Json::parse("\"" + json_escape(hostile) + "\"", v, error))
+      << error;
+  EXPECT_EQ(v.as_string(), hostile);
 }
 
 }  // namespace
