@@ -222,143 +222,17 @@ std::vector<AttackPlan> build_plan(const TableSpec& spec,
   return plan;
 }
 
-/// Shard-worker mode: claim plan items through the lease ledger, journal
-/// each result, print worker stats. No table — the coordinator's merge
-/// pass (resume run, sharding off) renders it from the journal.
-TableRun run_table_worker(const TableSpec& spec, const ExperimentScale& scale,
-                          const std::vector<AttackPlan>& plan,
-                          robust::RunJournal& journal,
-                          const shard::ShardConfig& config) {
-  BD_OBS_SPAN("bench.shard_worker");
-  if (!journal.enabled()) {
-    throw std::runtime_error(
-        "shard worker needs a journal (BDPROTO_JOURNAL): cell results must "
-        "be durable for the coordinator's merge pass");
-  }
-  auto& supervisor = robust::Supervisor::instance();
-  const auto record_with_retry = [&](const std::string& key,
-                                     const robust::JournalFields& fields) {
-    const robust::RunReport report = supervisor.run(
-        "journal|" + journal.path(), [&] { journal.record(key, fields); });
-    if (!report.ok()) {
-      throw std::runtime_error("journal '" + journal.path() +
-                               "': append failed permanently: " +
-                               report.failure);
-    }
-  };
-
-  // Canonical work list: the baseline item leads its attack's cells so the
-  // expensive preparation tends to be claimed (and cached) first.
-  struct WorkItem {
-    std::size_t attack;
-    std::size_t cell = 0;
-    bool baseline = false;
-  };
-  std::vector<WorkItem> items;
-  std::vector<std::string> keys;
-  for (std::size_t a = 0; a < plan.size(); ++a) {
-    items.push_back({a, 0, true});
-    keys.push_back(plan[a].base_key);
-    for (std::size_t c = 0; c < plan[a].cells.size(); ++c) {
-      items.push_back({a, c, false});
-      keys.push_back(plan[a].cells[c].key);
-    }
-  }
-
-  // Lazy per-attack preparation, cached for the most recent attack only
-  // (backdoored models are big; canonical claim order keeps switches rare).
-  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-  std::size_t prepared = kNone;
-  std::optional<BackdooredModel> bd;
-  BaselineRecord baseline;
-  const auto prepare = [&](std::size_t a) {
-    if (prepared == a) return;
-    const AttackPlan& ap = plan[a];
-    BD_OBS_SPAN("bench.attack_prepare");
-    const robust::RunReport prep =
-        supervisor.run("prepare|" + ap.attack + "|" + spec.arch, [&] {
-          bd.reset();
-          bd.emplace(prepare_backdoored_model(spec.dataset, spec.arch,
-                                              ap.attack, scale,
-                                              ap.model_seed));
-        });
-    baseline = BaselineRecord{};
-    baseline.attempts = prep.attempts;
-    if (prep.ok()) {
-      baseline.metrics = bd->baseline;
-    } else {
-      bd.reset();
-      baseline.degraded = true;
-      baseline.error = "attack preparation failed: " + prep.failure;
-      BD_LOG(Warn) << ap.attack << ": " << baseline.error;
-    }
-    prepared = a;
-  };
-
-  TableRun run;
-  shard::WorkerSession session(config);
-  const auto run_cell = [&](std::size_t index) {
-    const WorkItem& item = items[index];
-    const AttackPlan& ap = plan[item.attack];
-    if (journal.has(keys[index])) {
-      // Already durable: a resumed run, or a steal from a worker that died
-      // after journaling but before its done record landed.
-      ++run.resumed_cells;
-      return;
-    }
-    prepare(item.attack);
-    if (item.baseline) {
-      record_with_retry(ap.base_key, encode_baseline(ap.attack, baseline));
-      return;
-    }
-    const Cell& cell = ap.cells[item.cell];
-    SettingResult setting;
-    if (!bd.has_value()) {
-      setting.attack = ap.attack;
-      setting.defense = cell.defense;
-      setting.spc = cell.spc;
-      setting.degraded = true;
-      setting.failure = baseline.error;
-    } else {
-      BD_OBS_SPAN_ARG("bench.cell", cell.spc);
-      BD_OBS_COUNT("bench.cells_run", 1);
-      setting = run_setting(*bd, cell.defense, cell.spc, scale, cell.seed);
-    }
-    record_with_retry(cell.key, encode_setting(setting));
-  };
-  const auto quarantine_cell = [&](std::size_t index,
-                                   const std::string& reason) {
-    const WorkItem& item = items[index];
-    const AttackPlan& ap = plan[item.attack];
-    if (journal.has(keys[index])) return;
-    if (item.baseline) {
-      BaselineRecord rec;
-      rec.degraded = true;
-      rec.error = reason;
-      record_with_retry(ap.base_key, encode_baseline(ap.attack, rec));
-      return;
-    }
-    const Cell& cell = ap.cells[item.cell];
-    SettingResult s;
-    s.attack = ap.attack;
-    s.defense = cell.defense;
-    s.spc = cell.spc;
-    s.degraded = true;
-    s.failure = reason;
-    record_with_retry(cell.key, encode_setting(s));
-  };
-
-  const shard::WorkerStats stats =
-      session.run_all(keys, run_cell, quarantine_cell);
-  std::printf("shard worker %s: claimed=%lld stolen=%lld completed=%lld "
-              "quarantined=%lld resumed=%zu\n",
-              config.worker_id.c_str(),
-              static_cast<long long>(stats.claimed),
-              static_cast<long long>(stats.stolen),
-              static_cast<long long>(stats.completed),
-              static_cast<long long>(stats.quarantined), run.resumed_cells);
-  run.worker_stats = stats;
-  return run;
+/// A setting cell that did not run: its attack's preparation failed, or
+/// its lease was quarantined. Journaled and rendered like any other cell.
+SettingResult degraded_setting(const std::string& attack, const Cell& cell,
+                               const std::string& reason) {
+  SettingResult s;
+  s.attack = attack;
+  s.defense = cell.defense;
+  s.spc = cell.spc;
+  s.degraded = true;
+  s.failure = reason;
+  return s;
 }
 
 }  // namespace
@@ -374,11 +248,21 @@ TableRun run_table(const TableSpec& spec) {
   if (journal_path.empty()) {
     journal_path = env_string("BDPROTO_JOURNAL").value_or("");
   }
+  const std::optional<shard::ShardConfig> shard_config =
+      spec.shard.has_value() ? spec.shard : shard::shard_config_from_env();
+  // A shard worker always resumes: it must skip items that a resumed run
+  // or a peer that died before its done record landed already journaled.
   const bool resume =
+      shard_config.has_value() ||
       spec.resume.value_or(env_int("BDPROTO_RESUME").value_or(0) != 0);
   robust::RunJournal journal = journal_path.empty()
                                    ? robust::RunJournal()
                                    : robust::RunJournal(journal_path);
+  if (shard_config.has_value() && !journal.enabled()) {
+    throw std::runtime_error(
+        "shard worker needs a journal (BDPROTO_JOURNAL): cell results must "
+        "be durable for the coordinator's merge pass");
+  }
   if (resume && !journal.enabled()) {
     BD_LOG(Warn) << "BDPROTO_RESUME is set but no journal is configured "
                     "(set BDPROTO_JOURNAL); running from scratch";
@@ -390,22 +274,43 @@ TableRun run_table(const TableSpec& spec) {
   const std::string sig = scale_signature(spec, scale);
   const std::vector<AttackPlan> plan = build_plan(spec, scale, sig, seed);
 
-  const std::optional<shard::ShardConfig> shard_config =
-      spec.shard.has_value() ? spec.shard : shard::shard_config_from_env();
-  if (shard_config.has_value()) {
-    return run_table_worker(spec, scale, plan, journal, *shard_config);
+  // Canonical work list: each attack's baseline item, then its cells, so
+  // the expensive preparation tends to be needed (and cached) first. The
+  // keys double as lease-ledger work items.
+  struct Item {
+    std::size_t attack;
+    const Cell* cell;          // nullptr: the attack's baseline
+    BaselineRecord baseline;   // result slot of a baseline item
+    SettingResult setting;     // result slot of a cell item
+  };
+  std::vector<Item> items;
+  std::vector<std::string> keys;
+  for (std::size_t a = 0; a < plan.size(); ++a) {
+    items.push_back({a, nullptr, {}, {}});
+    keys.push_back(plan[a].base_key);
+    for (const Cell& cell : plan[a].cells) {
+      items.push_back({a, &cell, {}, {}});
+      keys.push_back(cell.key);
+    }
   }
 
   auto& faults = robust::FaultInjector::instance();
   auto& supervisor = robust::Supervisor::instance();
+  TableRun run;
 
   // Journal appends are supervised too (retries ride out transient I/O
   // failures), but a permanently unwritable journal is fatal: continuing
   // would silently break the resume contract.
-  const auto record_with_retry = [&](const std::string& key,
-                                     const robust::JournalFields& fields) {
+  const auto record = [&](std::size_t index) {
+    if (!journal.enabled()) return;
+    const Item& item = items[index];
+    const robust::JournalFields fields =
+        item.cell != nullptr
+            ? encode_setting(item.setting)
+            : encode_baseline(plan[item.attack].attack, item.baseline);
     const robust::RunReport report = supervisor.run(
-        "journal|" + journal.path(), [&] { journal.record(key, fields); });
+        "journal|" + journal.path(),
+        [&] { journal.record(keys[index], fields); });
     if (!report.ok()) {
       throw std::runtime_error("journal '" + journal.path() +
                                "': append failed permanently: " +
@@ -413,6 +318,117 @@ TableRun run_table(const TableSpec& spec) {
     }
   };
 
+  // A journaled item is read back into its result slot instead of rerun.
+  const auto restore = [&](std::size_t index) {
+    const robust::JournalFields* cached =
+        resume ? journal.find(keys[index]) : nullptr;
+    if (cached == nullptr) return false;
+    Item& item = items[index];
+    if (item.cell == nullptr) {
+      item.baseline = decode_baseline(*cached);
+    } else {
+      item.setting = decode_setting(*cached);
+      ++run.resumed_cells;
+      BD_OBS_COUNT("bench.cells_resumed", 1);
+    }
+    return true;
+  };
+
+  // Lazy per-attack preparation, cached for the most recent attack only
+  // (backdoored models are big; canonical order keeps switches rare). An
+  // attack whose items are all journaled is never retrained.
+  std::size_t prepared = plan.size();  // none yet
+  std::optional<BackdooredModel> bd;
+  BaselineRecord verdict;  // the preparation's baseline cell
+  const auto prepare = [&](std::size_t a) {
+    if (prepared == a) return;
+    const AttackPlan& ap = plan[a];
+    BD_OBS_SPAN("bench.attack_prepare");
+    const robust::RunReport prep =
+        supervisor.run("prepare|" + ap.attack + "|" + spec.arch, [&] {
+          bd.reset();
+          bd.emplace(prepare_backdoored_model(spec.dataset, spec.arch,
+                                              ap.attack, scale,
+                                              ap.model_seed));
+        });
+    verdict = BaselineRecord{};
+    verdict.attempts = prep.attempts;
+    if (prep.ok()) {
+      verdict.metrics = bd->baseline;
+    } else {
+      bd.reset();
+      verdict.degraded = true;
+      verdict.error = "attack preparation failed: " + prep.failure;
+      BD_LOG(Warn) << ap.attack << ": " << verdict.error
+                   << "; every cell of this attack degrades";
+    }
+    prepared = a;
+  };
+
+  const auto run_item = [&](std::size_t index) {
+    if (restore(index)) return;
+    Item& item = items[index];
+    const std::string& attack = plan[item.attack].attack;
+    prepare(item.attack);
+    if (item.cell == nullptr) {
+      item.baseline = verdict;
+      record(index);
+      return;
+    }
+    const Cell& cell = *item.cell;
+    if (!bd.has_value()) {
+      // The attack preparation degraded permanently: every cell that
+      // depends on it inherits the failure instead of running.
+      item.setting = degraded_setting(attack, cell, verdict.error);
+      record(index);
+      return;
+    }
+    BD_OBS_SPAN_ARG("bench.cell", cell.spc);
+    BD_OBS_COUNT("bench.cells_run", 1);
+    Stopwatch cell_watch;
+    item.setting = run_setting(*bd, cell.defense, cell.spc, scale, cell.seed);
+    BD_OBS_OBSERVE("bench.cell_seconds", cell_watch.seconds(),
+                   ::bd::obs::seconds_buckets());
+    record(index);
+    // The journal entry above is flushed; a kill here loses nothing.
+    faults.fire_crash("bench cell " + attack + "/" + cell.defense +
+                      "/spc=" + std::to_string(cell.spc));
+  };
+
+  if (shard_config.has_value()) {
+    // Worker driver: claim items through the lease ledger and journal each
+    // result. No table: the coordinator's merge pass (a resume run with
+    // sharding off) renders it from the journal.
+    BD_OBS_SPAN("bench.shard_worker");
+    const auto quarantine_item = [&](std::size_t index,
+                                     const std::string& reason) {
+      if (restore(index)) return;
+      Item& item = items[index];
+      if (item.cell == nullptr) {
+        item.baseline = BaselineRecord{};
+        item.baseline.degraded = true;
+        item.baseline.error = reason;
+      } else {
+        item.setting =
+            degraded_setting(plan[item.attack].attack, *item.cell, reason);
+      }
+      record(index);
+    };
+    shard::WorkerSession session(*shard_config);
+    const shard::WorkerStats stats =
+        session.run_all(keys, run_item, quarantine_item);
+    std::printf("shard worker %s: claimed=%lld stolen=%lld completed=%lld "
+                "quarantined=%lld resumed=%zu\n",
+                shard_config->worker_id.c_str(),
+                static_cast<long long>(stats.claimed),
+                static_cast<long long>(stats.stolen),
+                static_cast<long long>(stats.completed),
+                static_cast<long long>(stats.quarantined), run.resumed_cells);
+    run.worker_stats = stats;
+    return run;
+  }
+
+  // Local driver: run every item in order, then render from the slots.
   std::printf("== %s ==\n", spec.title.c_str());
   std::printf("dataset=%s arch=%s mode=%s trials=%d spc={", spec.dataset.c_str(),
               spec.arch.c_str(), full_mode() ? "full" : "quick", scale.trials);
@@ -421,117 +437,47 @@ TableRun run_table(const TableSpec& spec) {
                 static_cast<long long>(scale.spc_settings[i]));
   }
   std::printf("}\n\n");
+  for (std::size_t i = 0; i < items.size(); ++i) run_item(i);
 
-  TableRun run;
   TextTable table({"Attack", "SPC", "Defense", "ACC", "ASR", "RA"});
   std::vector<std::string> degraded_lines;  // summary printed after the table
-
-  for (const AttackPlan& ap : plan) {
-    const std::string& attack = ap.attack;
-    const std::uint64_t model_seed = ap.model_seed;
-    const std::vector<Cell>& cells = ap.cells;
-    const std::string& base_key = ap.base_key;
-
-    bool all_cached = resume && journal.has(base_key);
-    for (const auto& cell : cells) {
-      all_cached = all_cached && journal.has(cell.key);
-    }
-
-    // The expensive attack run is needed only when some cell still has to
-    // execute; a fully journaled attack resumes without retraining.
-    std::optional<BackdooredModel> bd;
-    BaselineRecord baseline;
-    if (all_cached) {
-      baseline = decode_baseline(*journal.find(base_key));
-      BD_LOG(Info) << attack << ": all cells journaled, skipping attack "
-                      "training";
-    } else {
-      BD_OBS_SPAN("bench.attack_prepare");
-      const robust::RunReport prep =
-          supervisor.run("prepare|" + attack + "|" + spec.arch, [&] {
-            bd.reset();
-            bd.emplace(prepare_backdoored_model(spec.dataset, spec.arch,
-                                                attack, scale, model_seed));
-          });
-      baseline.attempts = prep.attempts;
-      if (prep.ok()) {
-        baseline.metrics = bd->baseline;
+  for (Item& item : items) {
+    const std::string& attack = plan[item.attack].attack;
+    if (item.cell == nullptr) {
+      const BaselineRecord& baseline = item.baseline;
+      run.baselines.emplace_back(attack, baseline.metrics);
+      if (baseline.degraded) {
+        degraded_lines.push_back(attack + "/baseline: " + baseline.error +
+                                 " (attempts=" +
+                                 std::to_string(baseline.attempts) + ")");
+        table.add_row(
+            {attack, "-", "Baseline", "degraded", "degraded", "degraded"});
       } else {
-        bd.reset();
-        baseline.degraded = true;
-        baseline.error = "attack preparation failed: " + prep.failure;
-        BD_LOG(Warn) << attack << ": " << baseline.error
-                     << "; every cell of this attack degrades";
+        char acc_buf[32], asr_buf[32], ra_buf[32];
+        std::snprintf(acc_buf, sizeof(acc_buf), "%.2f", baseline.metrics.acc);
+        std::snprintf(asr_buf, sizeof(asr_buf), "%.2f", baseline.metrics.asr);
+        std::snprintf(ra_buf, sizeof(ra_buf), "%.2f", baseline.metrics.ra);
+        table.add_row({attack, "-", "Baseline", acc_buf, asr_buf, ra_buf});
       }
-      if (journal.enabled() && !(resume && journal.has(base_key))) {
-        record_with_retry(base_key, encode_baseline(attack, baseline));
-      }
+      continue;
     }
-    run.baselines.emplace_back(attack, baseline.metrics);
-    if (baseline.degraded) {
-      degraded_lines.push_back(attack + "/baseline: " + baseline.error +
-                               " (attempts=" +
-                               std::to_string(baseline.attempts) + ")");
-      table.add_row(
-          {attack, "-", "Baseline", "degraded", "degraded", "degraded"});
-    } else {
-      char acc_buf[32], asr_buf[32], ra_buf[32];
-      std::snprintf(acc_buf, sizeof(acc_buf), "%.2f", baseline.metrics.acc);
-      std::snprintf(asr_buf, sizeof(asr_buf), "%.2f", baseline.metrics.asr);
-      std::snprintf(ra_buf, sizeof(ra_buf), "%.2f", baseline.metrics.ra);
-      table.add_row({attack, "-", "Baseline", acc_buf, asr_buf, ra_buf});
+    const Cell& cell = *item.cell;
+    SettingResult& setting = item.setting;
+    if (setting.degraded) {
+      degraded_lines.push_back(
+          attack + "/" + cell.defense + "/spc=" + std::to_string(cell.spc) +
+          ": " + setting.failure +
+          " (attempts=" + std::to_string(setting.attempts) + ")");
     }
-
-    for (const auto& cell : cells) {
-      SettingResult setting;
-      const robust::JournalFields* cached =
-          resume ? journal.find(cell.key) : nullptr;
-      if (cached != nullptr) {
-        setting = decode_setting(*cached);
-        ++run.resumed_cells;
-        BD_OBS_COUNT("bench.cells_resumed", 1);
-      } else if (!bd.has_value()) {
-        // The attack preparation degraded permanently: every cell that
-        // depends on it inherits the failure instead of running.
-        setting.attack = attack;
-        setting.defense = cell.defense;
-        setting.spc = cell.spc;
-        setting.degraded = true;
-        setting.failure = baseline.error;
-        if (journal.enabled()) {
-          record_with_retry(cell.key, encode_setting(setting));
-        }
-      } else {
-        BD_OBS_SPAN_ARG("bench.cell", cell.spc);
-        BD_OBS_COUNT("bench.cells_run", 1);
-        Stopwatch cell_watch;
-        setting = run_setting(*bd, cell.defense, cell.spc, scale, cell.seed);
-        BD_OBS_OBSERVE("bench.cell_seconds", cell_watch.seconds(),
-                       ::bd::obs::seconds_buckets());
-        if (journal.enabled()) {
-          record_with_retry(cell.key, encode_setting(setting));
-        }
-        // The journal entry above is flushed; a kill here loses nothing.
-        faults.fire_crash("bench cell " + setting.attack + "/" +
-                          setting.defense + "/spc=" +
-                          std::to_string(setting.spc));
-      }
-      if (setting.degraded) {
-        degraded_lines.push_back(
-            attack + "/" + cell.defense + "/spc=" +
-            std::to_string(cell.spc) + ": " + setting.failure +
-            " (attempts=" + std::to_string(setting.attempts) + ")");
-      }
-      table.add_row({attack, std::to_string(cell.spc),
-                     core::defense_display_name(cell.defense),
-                     setting.degraded ? "degraded"
-                                      : mean_std_string(setting.acc),
-                     setting.degraded ? "degraded"
-                                      : mean_std_string(setting.asr),
-                     setting.degraded ? "degraded"
-                                      : mean_std_string(setting.ra)});
-      run.settings.push_back(std::move(setting));
-    }
+    table.add_row({attack, std::to_string(cell.spc),
+                   core::defense_display_name(cell.defense),
+                   setting.degraded ? "degraded"
+                                    : mean_std_string(setting.acc),
+                   setting.degraded ? "degraded"
+                                    : mean_std_string(setting.asr),
+                   setting.degraded ? "degraded"
+                                    : mean_std_string(setting.ra)});
+    run.settings.push_back(std::move(setting));
   }
 
   run.degraded_cells = degraded_lines.size();

@@ -43,6 +43,32 @@ const char* guarded_backward(robust::TrainGuard& guard, ag::Var& loss,
   return nullptr;
 }
 
+/// Handles a tripped guard: rolls the model back to `snapshot`, then
+/// either records the exhausted retry budget (returns false: stop at the
+/// snapshot) or backs the learning rate off and records the recovery
+/// (returns true: retry the epoch). `prefix` names the loop in the log.
+bool recover_from_trip(const char* prefix, const char* reason,
+                       robust::TrainGuard& guard, models::Classifier& model,
+                       const std::map<std::string, Tensor>& snapshot,
+                       optim::Sgd& sgd, std::int64_t epoch, std::int64_t step,
+                       double batch_loss) {
+  model.load_state_dict(snapshot);
+  if (!guard.can_recover()) {
+    guard.record_exhausted();
+    BD_LOG(Warn) << prefix << " guard: " << reason << " at epoch " << epoch
+                 << " step " << step
+                 << "; retry budget exhausted, stopping at last good "
+                    "snapshot";
+    return false;
+  }
+  sgd.options().lr *= static_cast<float>(guard.config().lr_backoff);
+  guard.record_recovery(epoch, step, batch_loss, sgd.options().lr, reason);
+  BD_LOG(Warn) << prefix << " guard: " << reason << " at epoch " << epoch
+               << " step " << step << "; rolled back, retrying with lr="
+               << sgd.options().lr;
+  return true;
+}
+
 }  // namespace
 
 TrainResult train_classifier(models::Classifier& model,
@@ -89,23 +115,9 @@ TrainResult train_classifier(models::Classifier& model,
       ag::Var loss = ag::cross_entropy(logits, batch.labels);
       double batch_loss = 0.0;
       if (const char* reason = guarded_backward(guard, loss, sgd, batch_loss)) {
-        model.load_state_dict(snapshot);
-        if (!guard.can_recover()) {
-          guard.record_exhausted();
-          BD_LOG(Warn) << "train guard: " << reason << " at epoch " << epoch
-                       << " step " << step
-                       << "; retry budget exhausted, stopping at last good "
-                          "snapshot";
-          stop = true;
-        } else {
-          sgd.options().lr *= static_cast<float>(guard.config().lr_backoff);
-          guard.record_recovery(epoch, step, batch_loss, sgd.options().lr,
-                                reason);
-          BD_LOG(Warn) << "train guard: " << reason << " at epoch " << epoch
-                       << " step " << step << "; rolled back, retrying with lr="
-                       << sgd.options().lr;
-          rolled_back = true;
-        }
+        rolled_back = recover_from_trip("train", reason, guard, model,
+                                        snapshot, sgd, epoch, step, batch_loss);
+        stop = !rolled_back;
         break;
       }
       sgd.step();
@@ -171,23 +183,9 @@ EarlyStopResult finetune_early_stopping(models::Classifier& model,
       ag::Var loss = ag::cross_entropy(logits, batch.labels);
       double batch_loss = 0.0;
       if (const char* reason = guarded_backward(guard, loss, sgd, batch_loss)) {
-        model.load_state_dict(snapshot);
-        if (!guard.can_recover()) {
-          guard.record_exhausted();
-          BD_LOG(Warn) << "finetune guard: " << reason << " at epoch " << epoch
-                       << " step " << step
-                       << "; retry budget exhausted, stopping at last good "
-                          "snapshot";
-          stop = true;
-        } else {
-          sgd.options().lr *= static_cast<float>(guard.config().lr_backoff);
-          guard.record_recovery(epoch, step, batch_loss, sgd.options().lr,
-                                reason);
-          BD_LOG(Warn) << "finetune guard: " << reason << " at epoch " << epoch
-                       << " step " << step << "; rolled back, retrying with lr="
-                       << sgd.options().lr;
-          rolled_back = true;
-        }
+        rolled_back = recover_from_trip("finetune", reason, guard, model,
+                                        snapshot, sgd, epoch, step, batch_loss);
+        stop = !rolled_back;
         break;
       }
       sgd.step();

@@ -243,9 +243,8 @@ RunReport Supervisor::run(const std::string& key,
       break;
     }
     if (attempt > 1) {
-      const double backoff =
-          config.backoff_initial_seconds *
-          std::pow(config.backoff_factor, static_cast<double>(attempt - 2));
+      const double backoff = std::ldexp(config.backoff_initial_seconds,
+                                        attempt - 2);
       std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
       {
         std::lock_guard lock(mutex_);

@@ -49,9 +49,8 @@ struct SupervisorConfig {
   double stall_seconds = 0.0;
   /// Retries after the first failed attempt.
   int max_retries = 2;
-  /// Backoff before retry k (1-based): initial * factor^(k-1) seconds.
+  /// Backoff before retry k (1-based): initial * 2^(k-1) seconds.
   double backoff_initial_seconds = 0.05;
-  double backoff_factor = 2.0;
   /// Accumulated failures of one key before it is quarantined.
   int quarantine_strikes = 3;
 };

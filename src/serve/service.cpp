@@ -164,7 +164,8 @@ CancelOutcome SanitizeService::cancel(const std::string& id) {
     return CancelOutcome::kCancelledQueued;
   }
   // Already popped (or running): cooperative cancellation through the
-  // supervisor's external token; the job lands in kCancelled via finish().
+  // supervisor's external token; process_job moves the job to kCancelled
+  // when the run reports itself externally cancelled.
   const auto c = cancels_.find(id);
   if (c != cancels_.end()) c->second.cancel("cancelled by client");
   return CancelOutcome::kSignalled;

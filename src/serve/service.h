@@ -137,8 +137,6 @@ class SanitizeService {
   void load_journal();
   void worker_loop(std::size_t worker_index);
   void process_job(const std::string& id);
-  void finish(const std::string& id, const robust::RunReport& report,
-              const JobRecord& update);
   void journal_locked(const JobRecord& record);
 
   ServiceConfig config_;

@@ -30,10 +30,6 @@ std::optional<ShardConfig> shard_config_from_env() {
 
 WorkerSession::WorkerSession(const ShardConfig& config)
     : config_(config), ledger_(config.ledger_path) {
-  if (config_.quarantine_strikes <= 0) {
-    config_.quarantine_strikes =
-        robust::Supervisor::instance().config().quarantine_strikes;
-  }
   heartbeat_ = std::thread([this] { heartbeat_main(); });
 }
 
@@ -83,6 +79,8 @@ WorkerStats WorkerSession::run_all(const std::vector<std::string>& keys,
   WorkerStats stats;
   auto& faults = robust::FaultInjector::instance();
   const std::int64_t ttl_ms = config_.ttl_ms();
+  const int quarantine_strikes =
+      robust::Supervisor::instance().config().quarantine_strikes;
   const auto idle = std::chrono::duration<double>(
       std::max(config_.poll_interval_seconds, 0.001));
 
@@ -126,7 +124,7 @@ WorkerStats WorkerSession::run_all(const std::vector<std::string>& keys,
     done.key = key;
     done.worker = config_.worker_id;
     try {
-      if (strikes >= config_.quarantine_strikes) {
+      if (strikes >= quarantine_strikes) {
         const std::string reason =
             "quarantined after " + std::to_string(strikes) +
             " lost leases (workers died or abandoned mid-cell)";

@@ -7,10 +7,11 @@
 // that is SIGKILLed, hung, or OOM'd simply stops heartbeating, its lease
 // expires after the TTL, and any surviving worker steals the cell — so a
 // dead worker costs at most its in-flight cell. A cell whose successive
-// holders keep dying accumulates strikes in the ledger; at the
-// supervisor's quarantine threshold the next claimer records the cell as
-// degraded instead of executing it (PR 4 quarantine semantics, lifted
-// across process boundaries).
+// holders keep dying accumulates strikes in the ledger; once they reach
+// robust::Supervisor's quarantine_strikes (default 3; the shard layer has
+// no threshold of its own) the next claimer records the cell as degraded
+// instead of executing it: the supervisor's quarantine policy, lifted
+// across process boundaries.
 //
 // Worker mode is activated per process by the coordinator via env:
 //   BDPROTO_SHARD_LEDGER  lease ledger path (presence enables the mode)
@@ -38,9 +39,6 @@ struct ShardConfig {
   double lease_ttl_seconds = 5.0;
   /// Idle re-scan interval while other workers hold the remaining cells.
   double poll_interval_seconds = 0.05;
-  /// Lost leases before a cell is quarantined; <= 0 defers to the
-  /// supervisor's quarantine_strikes.
-  int quarantine_strikes = 0;
 
   std::int64_t ttl_ms() const {
     return static_cast<std::int64_t>(lease_ttl_seconds * 1000.0);

@@ -781,7 +781,6 @@ class SupervisorTest : public FaultFixture {
   static robust::SupervisorConfig fast_config() {
     robust::SupervisorConfig config;
     config.backoff_initial_seconds = 0.001;
-    config.backoff_factor = 1.0;
     return config;
   }
 

@@ -112,7 +112,6 @@ class RunnerSupervised : public ::testing::Test {
     saved_config_ = robust::Supervisor::instance().config();
     robust::SupervisorConfig config;
     config.backoff_initial_seconds = 0.001;
-    config.backoff_factor = 1.0;
     robust::Supervisor::instance().configure(config);
   }
   void TearDown() override {
@@ -158,7 +157,6 @@ TEST_F(RunnerSupervised, RetriedTrialReusesItsPreDrawnSeed) {
 TEST_F(RunnerSupervised, QuarantinedSettingIsRefusedImmediately) {
   robust::SupervisorConfig config;
   config.backoff_initial_seconds = 0.001;
-  config.backoff_factor = 1.0;
   config.max_retries = 0;
   config.quarantine_strikes = 2;
   robust::Supervisor::instance().configure(config);

@@ -21,6 +21,7 @@
 #include "eval/table_bench.h"
 #include "robust/fault_injector.h"
 #include "robust/journal.h"
+#include "robust/supervisor.h"
 #include "runtime/thread_pool.h"
 #include "shard/coordinator.h"
 #include "shard/ledger.h"
@@ -457,6 +458,30 @@ TEST_F(ShardTable, SingleWorkerMatchesUnshardedRun) {
   EXPECT_EQ(merged_output(spec), reference);
 }
 
+TEST_F(ShardTable, WorkerOverJournaledTableRetrainsNothing) {
+  // A local run journals all 7 items; a worker on a fresh ledger then
+  // claims each one and must restore it from the journal. Preparations,
+  // trials and journal appends all run under the supervisor, so an
+  // unchanged run count means nothing was retrained or re-journaled.
+  TempFile journal("journaled_journal");
+  TempFile ledger("journaled_ledger");
+  const eval::TableSpec spec = mini_spec(journal.path());
+  const std::string local = merged_output(spec);
+
+  auto& supervisor = robust::Supervisor::instance();
+  const std::int64_t runs_before = supervisor.stats().runs;
+  eval::TableSpec worker_spec = spec;
+  worker_spec.shard = worker_config(ledger.path(), "w1", 5.0);
+  ::testing::internal::CaptureStdout();
+  const eval::TableRun run = eval::run_table(worker_spec);
+  ::testing::internal::GetCapturedStdout();
+  ASSERT_TRUE(run.worker_stats.has_value());
+  EXPECT_EQ(run.worker_stats->claimed, 7);
+  EXPECT_EQ(supervisor.stats().runs, runs_before);
+
+  EXPECT_EQ(merged_output(spec), local);
+}
+
 TEST_F(ShardTable, WorkerKilledAtEveryCellBoundaryNeverChangesOutput) {
   TempFile ref_journal("chaos_ref_journal");
   const std::string reference =
@@ -523,7 +548,6 @@ TEST_F(ShardTable, QuarantineAfterRepeatedLostLeases) {
 
   eval::TableSpec survivor_spec = spec;
   survivor_spec.shard = worker_config(ledger.path(), "surv", ttl);
-  survivor_spec.shard->quarantine_strikes = 3;
   ::testing::internal::CaptureStdout();
   const eval::TableRun survivor = eval::run_table(survivor_spec);
   ::testing::internal::GetCapturedStdout();
