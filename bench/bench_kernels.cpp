@@ -202,13 +202,16 @@ void BM_SpanOverhead(benchmark::State& state) {
 BENCHMARK(BM_SpanOverhead);
 
 // Same guarantee for the combined kernel probe (span + counters + duration
-// histogram): disabled, it is one atomic load after the first call.
+// histogram) on pre-registered instruments, as the graph-op probe uses it:
+// disabled, it is one atomic load.
 void BM_KernelProbeOverhead(benchmark::State& state) {
   bd::obs::set_metrics_enabled(false);
   bd::obs::set_trace_enabled(false);
+  bd::obs::KernelStats& stats =
+      bd::obs::kernel_stats("bench.kernel_probe_overhead");
   for (auto _ : state) {
-    BD_OBS_KERNEL("bench.kernel_probe_overhead", 1);
-    benchmark::DoNotOptimize(&state);
+    bd::obs::KernelScope probe(stats, 1);
+    benchmark::DoNotOptimize(&probe);
   }
   state.SetItemsProcessed(state.iterations());
 }

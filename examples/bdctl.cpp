@@ -415,6 +415,11 @@ int cmd_profile(const Args& args) {
     return 1;
   }
 
+  // The no-defense row shows whether the backdoor implanted at all: with
+  // a low baseline ASR, the defense row below has nothing to remove.
+  std::printf("baseline (no defense): ACC=%.2f ASR=%.2f RA=%.2f\n",
+              bd_model.baseline.acc, bd_model.baseline.asr,
+              bd_model.baseline.ra);
   std::printf("profiled %s + %s on %s/%s: ACC=%.2f ASR=%.2f RA=%.2f "
               "pruned=%lld (%.1fs)\n",
               attack.c_str(), defense_name.c_str(), dataset.c_str(),

@@ -1,9 +1,12 @@
 #include "autograd/exec.h"
 
+#include <array>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
+#include "obs/obs.h"
 #include "tensor/conv.h"
 #include "tensor/ops.h"
 #include "tensor/pool.h"
@@ -16,9 +19,40 @@ const Tensor& in_value(const Node& n, std::size_t i) {
   return n.inputs[i]->value;
 }
 
+// kNllLoss is the last OpKind (graph.h).
+constexpr std::size_t kOpKinds = static_cast<std::size_t>(OpKind::kNllLoss) + 1;
+
+/// Opens n's `op.<kind>.fwd|bwd` probe, whose work items come from node
+/// shapes: MACs for the contractions, output elements otherwise. The table
+/// is built once (serve workers run graphs concurrently) from instruments
+/// kernel_stats never frees. Callers test obs::enabled() first, so with
+/// both pillars off a node pays one relaxed load.
+void open_probe(std::optional<obs::KernelScope>& probe, const Node& n,
+                std::size_t bwd) {
+  static const auto stats = [] {
+    std::array<obs::KernelStats*, 2 * kOpKinds> t{};
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      t[i] = &obs::kernel_stats(std::string("op.") +
+                                op_kind_name(static_cast<OpKind>(i / 2)) +
+                                (i % 2 != 0 ? ".bwd" : ".fwd"));
+    }
+    return t;
+  }();
+  std::int64_t items = shape_numel(n.shape);
+  if (n.kind == OpKind::kConv2d || n.kind == OpKind::kDepthwiseConv2d) {
+    const Shape& w = n.inputs[1]->shape;  // (Cout, Cin or 1, KH, KW)
+    items *= w[1] * w[2] * w[3];
+  } else if (n.kind == OpKind::kMatmul) {
+    items *= n.inputs[0]->shape[1];
+  }
+  probe.emplace(*stats[2 * static_cast<std::size_t>(n.kind) + bwd], items);
+}
+
 }  // namespace
 
 void execute_forward(Node& n) {
+  std::optional<obs::KernelScope> probe;
+  if (obs::enabled()) open_probe(probe, n, /*bwd=*/0);
   switch (n.kind) {
     case OpKind::kLeaf:
       return;
@@ -134,6 +168,8 @@ void execute_forward(Node& n) {
 }
 
 void execute_backward(const Node& n, const GradSink& sink) {
+  std::optional<obs::KernelScope> probe;
+  if (obs::enabled()) open_probe(probe, n, /*bwd=*/1);
   switch (n.kind) {
     case OpKind::kLeaf:
       return;

@@ -4,7 +4,8 @@
 // inputs; execute_backward propagates the node's gradient to its inputs
 // through a GradSink. Both call exactly the kernels of src/tensor that the
 // old eager tape called, in the same order per op — the bitwise-identity
-// contract the determinism suite pins (see graph.h).
+// contract the determinism suite pins (see graph.h). Each call opens the
+// node's `op.<kind>.fwd|bwd` obs probe: the one place graph ops are timed.
 #pragma once
 
 #include <functional>

@@ -69,7 +69,7 @@ enum class OpKind : std::uint8_t {
   kGlobalAvgPool,
   // Losses.
   kLogSoftmax,
-  kNllLoss,
+  kNllLoss,  // last: sizes the op-probe table in exec.cpp
 };
 
 /// Stable display name ("add", "conv2d", ...) for errors and traces.

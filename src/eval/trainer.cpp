@@ -120,7 +120,10 @@ TrainResult train_classifier(models::Classifier& model,
         stop = !rolled_back;
         break;
       }
-      sgd.step();
+      {
+        BD_OBS_SPAN("optim.step");
+        sgd.step();
+      }
       total += batch_loss * static_cast<double>(batch.size());
       seen += batch.size();
       ++step;
@@ -188,7 +191,10 @@ EarlyStopResult finetune_early_stopping(models::Classifier& model,
         stop = !rolled_back;
         break;
       }
-      sgd.step();
+      {
+        BD_OBS_SPAN("optim.step");
+        sgd.step();
+      }
       if (config.post_step) config.post_step();
       ++step;
     }

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "obs/obs.h"
 #include "tensor/ops.h"
 
 namespace bd::nn {
@@ -152,7 +151,6 @@ ag::Var BatchNorm2d::forward(const ag::Var& x) {
                                 shape_string(x.shape()));
   }
   const Shape cshape{1, channels_, 1, 1};
-  BD_OBS_KERNEL("kernel.batchnorm", shape_numel(x.shape()));
 
   // Effective scale: gamma, optionally perturbed (ANP's adversarial inner
   // step). The ANP channel mask multiplies the whole affine OUTPUT below

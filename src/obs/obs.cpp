@@ -121,14 +121,14 @@ void flush_env_exports() {
   }
 }
 
-KernelStats& kernel_stats(const char* name) {
-  // Leaked on purpose: references handed to function-local statics must
-  // outlive every kernel call, including ones during static destruction.
-  const std::string base(name);
+KernelStats& kernel_stats(const std::string& name) {
+  // Leaked on purpose: callers cache the reference, and trace events keep
+  // the name pointer until the exit exporters, which may run after static
+  // destruction.
   auto* stats = new KernelStats{
-      registry().counter(base + ".calls"),
-      registry().counter(base + ".items"),
-      registry().histogram(base + ".ns", duration_ns_buckets())};
+      name, registry().counter(name + ".calls"),
+      registry().counter(name + ".items"),
+      registry().histogram(name + ".ns", duration_ns_buckets())};
   return *stats;
 }
 

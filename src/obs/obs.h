@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 
 #include "obs/gate.h"
 #include "obs/metrics.h"
@@ -13,31 +14,31 @@
 
 namespace bd::obs {
 
-/// Pre-registered instruments for one kernel call site: `<name>.calls`,
+/// Pre-registered instruments for one probe name: `<name>.calls`,
 /// `<name>.items` (work units, e.g. MACs) and `<name>.ns` (duration
-/// histogram on the fixed duration layout).
+/// histogram on the fixed duration layout). `name` is the span name.
 struct KernelStats {
+  std::string name;
   Counter& calls;
   Counter& items;
   Histogram& duration_ns;
 };
 
-/// Registers (once) and returns the instruments for `name`. The reference
-/// is cached in a function-local static by BD_OBS_KERNEL.
-KernelStats& kernel_stats(const char* name);
+/// Registers and returns the instruments for `name`. Never freed: callers
+/// keep the reference, and trace events keep the name pointer.
+KernelStats& kernel_stats(const std::string& name);
 
 /// RAII kernel probe: trace span (when tracing) plus calls/items counters
 /// and a duration-histogram sample (when metrics are on). Off cost: one
 /// relaxed atomic load.
 class KernelScope {
  public:
-  KernelScope(const char* name, KernelStats& stats, std::int64_t items)
-      : stats_(stats) {
+  KernelScope(KernelStats& stats, std::int64_t items) : stats_(stats) {
     const std::uint32_t f = detail::flags();
     if (f == 0) return;
     if ((f & kTraceBit) != 0) {
-      span_name_ = name;
-      record_span_event(name, 'B', items);
+      span_name_ = stats.name.c_str();
+      record_span_event(span_name_, 'B', items);
     }
     if ((f & kMetricsBit) != 0) {
       items_ = items;
@@ -75,13 +76,6 @@ class KernelScope {
   ::bd::obs::Span BD_OBS_CONCAT(bd_obs_span_, __LINE__)(name)
 #define BD_OBS_SPAN_ARG(name, arg) \
   ::bd::obs::Span BD_OBS_CONCAT(bd_obs_span_, __LINE__)(name, (arg))
-
-/// Scoped kernel probe (span + counters + duration histogram).
-#define BD_OBS_KERNEL(name, items)                                     \
-  static ::bd::obs::KernelStats& BD_OBS_CONCAT(bd_obs_ks_, __LINE__) = \
-      ::bd::obs::kernel_stats(name);                                   \
-  ::bd::obs::KernelScope BD_OBS_CONCAT(bd_obs_kscope_, __LINE__)(      \
-      name, BD_OBS_CONCAT(bd_obs_ks_, __LINE__), (items))
 
 /// Counter increment / gauge sample, active only when metrics are on.
 #define BD_OBS_COUNT(name, n)                                        \

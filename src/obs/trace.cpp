@@ -206,13 +206,21 @@ struct SpanNode {
 void render_node(const SpanNode& node, std::size_t depth,
                  std::size_t max_depth, std::ostringstream& os) {
   if (max_depth != 0 && depth > max_depth) return;
+  // Self time: inclusive minus the direct children, i.e. the part of this
+  // span no child span explains.
+  std::uint64_t children_ns = 0;
+  for (const auto& c : node.children) children_ns += c->total_ns;
+  const std::uint64_t self_ns =
+      node.total_ns - std::min(children_ns, node.total_ns);
   char line[200];
-  std::snprintf(line, sizeof(line), "%*s%-*s %8llu x %12.3f ms\n",
+  std::snprintf(line, sizeof(line),
+                "%*s%-*s %8llu x %12.3f ms %12.3f ms self\n",
                 static_cast<int>(2 * depth), "",
                 static_cast<int>(40 - std::min<std::size_t>(2 * depth, 38)),
                 node.name,
                 static_cast<unsigned long long>(node.count),
-                static_cast<double>(node.total_ns) / 1e6);
+                static_cast<double>(node.total_ns) / 1e6,
+                static_cast<double>(self_ns) / 1e6);
   os << line;
   for (const auto& c : node.children) {
     render_node(*c, depth + 1, max_depth, os);

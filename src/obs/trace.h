@@ -14,7 +14,8 @@
 // traces always have balanced begin/end pairs per thread.
 //
 // Naming convention (documented in DESIGN.md): dot-separated
-// `<layer>.<what>` — `kernel.*` tensor kernels, `train.*` / `finetune.*`
+// `<layer>.<what>` — `op.<kind>.fwd|bwd` graph ops (opened only by the
+// autograd executor), `optim.*` optimizer steps, `train.*` / `finetune.*`
 // training loops, `gradprune.*` the paper's defense, `defense.<name>` other
 // defense phases, `eval.*` metric passes, `runner.*` / `bench.*` the
 // experiment harness.
@@ -87,8 +88,9 @@ void set_trace_capacity_for_test(std::size_t per_thread);
 void write_chrome_trace(std::ostream& os);
 bool write_chrome_trace_file(const std::string& path);
 
-/// Aggregated per-thread span tree ("name count total-ms" per node), for
-/// `bdctl profile`. `max_depth` 0 means unlimited.
+/// Aggregated per-thread span tree ("name count inclusive-ms self-ms" per
+/// node; self = inclusive minus the direct children), for `bdctl profile`.
+/// `max_depth` 0 means unlimited.
 std::string render_span_tree(std::size_t max_depth = 0);
 
 }  // namespace bd::obs

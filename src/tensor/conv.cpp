@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "obs/obs.h"
 #include "runtime/thread_pool.h"
 #include "tensor/ops.h"
 
@@ -125,7 +124,6 @@ Tensor conv2d_forward(const Tensor& input, const Tensor& weight,
   const std::int64_t ow =
       conv_out_size(input.size(3), kw, spec.stride, spec.padding);
 
-  BD_OBS_KERNEL("kernel.conv2d_fwd", n * cout * oh * ow * cin * kh * kw);
   const Tensor wmat = weight.reshape({cout, cin * kh * kw});
   Tensor out({n, cout, oh, ow});
 
@@ -157,7 +155,6 @@ Conv2dGrads conv2d_backward(const Tensor& input, const Tensor& weight,
   const std::int64_t kh = weight.size(2), kw = weight.size(3);
   const std::int64_t oh = grad_output.size(2), ow = grad_output.size(3);
 
-  BD_OBS_KERNEL("kernel.conv2d_bwd", n * cout * oh * ow * cin * kh * kw);
   const Tensor wmat = weight.reshape({cout, cin * kh * kw});
   const Tensor wmat_t = transpose2d(wmat);
 
@@ -224,7 +221,6 @@ Tensor depthwise_conv2d_forward(const Tensor& input, const Tensor& weight,
   const std::int64_t oh = conv_out_size(h, kh, spec.stride, spec.padding);
   const std::int64_t ow = conv_out_size(w, kw, spec.stride, spec.padding);
 
-  BD_OBS_KERNEL("kernel.depthwise_fwd", n * c * oh * ow * kh * kw);
   Tensor out({n, c, oh, ow});
   // Every (sample, channel) plane is independent; parallelize over the
   // flattened plane index.
@@ -266,7 +262,6 @@ Conv2dGrads depthwise_conv2d_backward(const Tensor& input,
   const std::int64_t kh = weight.size(2), kw = weight.size(3);
   const std::int64_t oh = grad_output.size(2), ow = grad_output.size(3);
 
-  BD_OBS_KERNEL("kernel.depthwise_bwd", n * c * oh * ow * kh * kw);
   Conv2dGrads grads;
   grads.grad_input = Tensor(input.shape());
   grads.grad_weight = Tensor(weight.shape());

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "obs/obs.h"
 #include "runtime/thread_pool.h"
 
 namespace bd {
@@ -370,7 +369,6 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
                                 shape_string(b.shape()));
   }
   const std::int64_t m = a.size(0), k = a.size(1), n = b.size(1);
-  BD_OBS_KERNEL("kernel.matmul", m * k * n);
   Tensor out({m, n});
   const float* pa = a.data();
   const float* pb = b.data();

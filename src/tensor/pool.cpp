@@ -3,7 +3,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "obs/obs.h"
 #include "runtime/thread_pool.h"
 #include "tensor/conv.h"
 
@@ -24,8 +23,6 @@ MaxPoolResult maxpool2d_forward(const Tensor& input, const Pool2dSpec& spec) {
   const std::int64_t oh = conv_out_size(h, spec.kernel, spec.stride, spec.padding);
   const std::int64_t ow = conv_out_size(w, spec.kernel, spec.stride, spec.padding);
 
-  BD_OBS_KERNEL("kernel.maxpool_fwd",
-                n * c * oh * ow * spec.kernel * spec.kernel);
   MaxPoolResult result;
   result.output = Tensor({n, c, oh, ow});
   result.argmax.assign(static_cast<std::size_t>(n * c * oh * ow), -1);
@@ -70,7 +67,6 @@ MaxPoolResult maxpool2d_forward(const Tensor& input, const Pool2dSpec& spec) {
 Tensor maxpool2d_backward(const Shape& input_shape,
                           const std::vector<std::int64_t>& argmax,
                           const Tensor& grad_output) {
-  BD_OBS_KERNEL("kernel.maxpool_bwd", grad_output.numel());
   Tensor grad_input(input_shape);
   float* gi = grad_input.data();
   const float* go = grad_output.data();
@@ -102,8 +98,6 @@ Tensor avgpool2d_forward(const Tensor& input, const Pool2dSpec& spec) {
   const float inv_area =
       1.0f / static_cast<float>(spec.kernel * spec.kernel);
 
-  BD_OBS_KERNEL("kernel.avgpool_fwd",
-                n * c * oh * ow * spec.kernel * spec.kernel);
   Tensor out({n, c, oh, ow});
   const float* pin = input.data();
   float* pout = out.data();
@@ -141,8 +135,6 @@ Tensor avgpool2d_backward(const Shape& input_shape, const Tensor& grad_output,
   const std::int64_t n = input_shape[0], c = input_shape[1];
   const std::int64_t h = input_shape[2], w = input_shape[3];
   const std::int64_t oh = grad_output.size(2), ow = grad_output.size(3);
-  BD_OBS_KERNEL("kernel.avgpool_bwd",
-                n * c * oh * ow * spec.kernel * spec.kernel);
   const float inv_area =
       1.0f / static_cast<float>(spec.kernel * spec.kernel);
 
@@ -181,7 +173,6 @@ Tensor global_avgpool_forward(const Tensor& input) {
   check_pool_input(input);
   const std::int64_t n = input.size(0), c = input.size(1);
   const std::int64_t hw = input.size(2) * input.size(3);
-  BD_OBS_KERNEL("kernel.global_avgpool_fwd", n * c * hw);
   Tensor out({n, c, 1, 1});
   const float* pin = input.data();
   float* pout = out.data();
@@ -205,7 +196,6 @@ Tensor global_avgpool_backward(const Shape& input_shape,
   Tensor grad_input(input_shape);
   const std::int64_t n = input_shape[0], c = input_shape[1];
   const std::int64_t hw = input_shape[2] * input_shape[3];
-  BD_OBS_KERNEL("kernel.global_avgpool_bwd", n * c * hw);
   const float inv = 1.0f / static_cast<float>(hw);
   float* gi = grad_input.data();
   const float* go = grad_output.data();

@@ -6,12 +6,14 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "autograd/arena.h"
@@ -377,18 +379,51 @@ TEST_F(ObsTest, CapacityDropKeepsPairsBalanced) {
   EXPECT_GE(snapshot_trace().size(), 2u);
 }
 
+/// The inclusive and self milliseconds render_span_tree prints for `name`.
+std::pair<double, double> tree_row_ms(const std::string& tree,
+                                      const std::string& name) {
+  const std::size_t at = tree.find(name + ' ');
+  if (at == std::string::npos) return {-1.0, -1.0};
+  unsigned long long count = 0;
+  double incl = -1.0, self = -1.0;
+  std::sscanf(tree.c_str() + at + name.size(), " %llu x %lf ms %lf ms self",
+              &count, &incl, &self);
+  return {incl, self};
+}
+
 TEST_F(ObsTest, RenderSpanTreeAggregates) {
   set_trace_enabled(true);
   clear_trace();
+  const auto sleep_ms = [](int ms) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+  };
   {
     Span outer("obs_test.tree_outer");
-    { Span inner("obs_test.tree_inner"); }
-    { Span inner("obs_test.tree_inner"); }
+    sleep_ms(5);  // outer's own work: its self time
+    {
+      Span inner("obs_test.tree_inner");
+      sleep_ms(2);
+    }
+    {
+      Span inner("obs_test.tree_inner");
+      sleep_ms(2);
+    }
   }
   const std::string tree = render_span_tree();
   EXPECT_NE(tree.find("obs_test.tree_outer"), std::string::npos);
   EXPECT_NE(tree.find("obs_test.tree_inner"), std::string::npos);
   EXPECT_NE(tree.find("2 x"), std::string::npos);
+
+  // Self = inclusive minus the direct children: a leaf's self is all of
+  // it, the outer span's self is its own 5 ms of the total.
+  const auto [outer_incl, outer_self] =
+      tree_row_ms(tree, "obs_test.tree_outer");
+  const auto [inner_incl, inner_self] =
+      tree_row_ms(tree, "obs_test.tree_inner");
+  EXPECT_DOUBLE_EQ(inner_self, inner_incl) << tree;
+  EXPECT_GE(inner_incl, 4.0) << tree;
+  EXPECT_GE(outer_self, 5.0) << tree;
+  EXPECT_NEAR(outer_self, outer_incl - inner_incl, 0.002) << tree;
 
   clear_trace();
   EXPECT_EQ(render_span_tree(), "(no spans recorded)\n");
@@ -397,20 +432,68 @@ TEST_F(ObsTest, RenderSpanTreeAggregates) {
 TEST_F(ObsTest, KernelProbeRecordsWhenMetricsOn) {
   set_metrics_enabled(true);
   const std::uint64_t calls_before =
-      registry().counter("kernel.matmul.calls").value();
+      registry().counter("op.matmul.fwd.calls").value();
   const std::uint64_t items_before =
-      registry().counter("kernel.matmul.items").value();
+      registry().counter("op.matmul.fwd.items").value();
 
   Tensor a({4, 8});
   Tensor b({8, 2});
   for (std::int64_t i = 0; i < a.numel(); ++i) a[i] = 1.0f;
   for (std::int64_t i = 0; i < b.numel(); ++i) b[i] = 2.0f;
-  (void)matmul(a, b);
+  (void)ag::matmul(ag::Var(a), ag::Var(b)).value();
 
-  EXPECT_EQ(registry().counter("kernel.matmul.calls").value(),
+  EXPECT_EQ(registry().counter("op.matmul.fwd.calls").value(),
             calls_before + 1);
-  EXPECT_EQ(registry().counter("kernel.matmul.items").value(),
+  EXPECT_EQ(registry().counter("op.matmul.fwd.items").value(),
             items_before + 4u * 8u * 2u);
+}
+
+// Graph ops are probed once, at the autograd executor: a conv -> relu -> sum
+// step records one op.conv2d.fwd and one op.conv2d.bwd with the conv's MACs
+// as items, and no op span ever opens inside another (the tensor kernels
+// below the executor carry no probes of their own).
+TEST_F(ObsTest, GraphOpProbesAtExecutorDoNotNest) {
+  set_metrics_enabled(true);
+  set_trace_enabled(true);
+  clear_trace();
+  const auto counter = [](const char* name) {
+    return registry().counter(name).value();
+  };
+  const std::uint64_t fwd_before = counter("op.conv2d.fwd.calls");
+  const std::uint64_t items_before = counter("op.conv2d.fwd.items");
+  const std::uint64_t bwd_before = counter("op.conv2d.bwd.calls");
+
+  // (N=2, Cin=3, 6x6) input, (Cout=4, Cin=3, 3x3) weight, pad 1 -> 6x6 out.
+  Tensor x({2, 3, 6, 6});
+  Tensor w({4, 3, 3, 3});
+  for (std::int64_t i = 0; i < x.numel(); ++i) x[i] = 0.01f * (i % 17);
+  for (std::int64_t i = 0; i < w.numel(); ++i) w[i] = 0.02f * (i % 5) - 0.03f;
+  ag::Var wv(w, /*requires_grad=*/true);
+  Conv2dSpec spec;
+  spec.padding = 1;
+  ag::Var loss =
+      ag::sum_all(ag::relu(ag::conv2d(ag::Var(x), wv, ag::Var(), spec)));
+  loss.backward();
+
+  EXPECT_EQ(counter("op.conv2d.fwd.calls"), fwd_before + 1);
+  EXPECT_EQ(counter("op.conv2d.fwd.items"),
+            items_before + 2u * 4u * 6u * 6u * 3u * 3u * 3u);
+  EXPECT_EQ(counter("op.conv2d.bwd.calls"), bwd_before + 1);
+  EXPECT_GT(counter("op.relu.fwd.calls"), 0u);
+
+  std::map<std::uint32_t, int> open_ops;  // per tid: op spans now open
+  std::size_t op_spans = 0;
+  for (const auto& e : snapshot_trace()) {
+    if (std::string_view(e.name).rfind("op.", 0) != 0) continue;
+    if (e.phase == 'B') {
+      EXPECT_EQ(open_ops[e.tid], 0) << e.name << " opens inside an op span";
+      ++open_ops[e.tid];
+      ++op_spans;
+    } else {
+      --open_ops[e.tid];
+    }
+  }
+  EXPECT_GE(op_spans, 6u);  // conv, relu, sum fwd; sum, relu, conv bwd
 }
 
 // The graph-IR scheduler reports its arena footprint: after a backward pass
